@@ -23,19 +23,23 @@ for _ in range(5):
     table.update(1, unit(center1 + 0.1 * rng.normal(size=d)), beta=0.9)
 
 # A bank mixing genuine class-0 neighbours with impostors that carry the
-# same pseudo-label but sit far from the prototype.
+# same pseudo-label but sit far from the prototype. Here one vector serves as
+# both the loss-side embedding and the scoring vector of each record.
 bank = MemoryBank(capacity=64)
 for _ in range(6):
-    bank.push(unit(center0 + 0.15 * rng.normal(size=d)), 0)   # genuine
+    v = unit(center0 + 0.15 * rng.normal(size=d))             # genuine
+    bank.push(v, v, 0)
 for _ in range(4):
-    bank.push(unit(rng.normal(size=d)), 0)                    # impostors
+    v = unit(rng.normal(size=d))                              # impostors
+    bank.push(v, v, 0)
 for _ in range(8):
-    bank.push(unit(center1 + 0.15 * rng.normal(size=d)), 1)   # other class
+    v = unit(center1 + 0.15 * rng.normal(size=d))             # other class
+    bank.push(v, v, 1)
 
 # Anchor: the weak-augmented embedding of the sample being learned.
 f_p = unit(center0 + 0.1 * rng.normal(size=d))
 
-candidates = acl.build_candidates(bank, pseudo_label=0, f_p=f_p)
+candidates = acl.build_candidates(bank, pseudo_label=0, f_score=f_p)
 scores = acl.score_candidates(candidates, table.get(0))
 print(f"candidate reliabilities: {scores.round(3)}")
 

@@ -14,10 +14,6 @@ from . import gmm
 from .errors import EmptyPositives, PrototypeMissing
 from .protobank import MemoryBank
 
-DEGENERATE_MIN_POINTS = 4
-DEGENERATE_SPREAD = 1e-6
-
-
 @dataclass
 class AclSelection:
     anchor: object                     # Tensor (student side) or array
@@ -28,9 +24,11 @@ class AclSelection:
     used_fallback: bool
 
 
-def build_candidates(bank: MemoryBank, pseudo_label: int, f_p: np.ndarray) -> list:
-    """Initial positive set: same-pseudo-class bank entries plus f^p (last)."""
-    return bank.candidates_of(pseudo_label) + [np.asarray(f_p, dtype=np.float64)]
+def build_candidates(bank: MemoryBank, pseudo_label: int,
+                     f_score: np.ndarray) -> list:
+    """Initial positive set, as scoring vectors: the same-pseudo-class bank
+    records plus the anchor's own (last)."""
+    return bank.candidates_of(pseudo_label) + [np.asarray(f_score, dtype=np.float64)]
 
 
 def score_candidates(candidates: list, prototype: Optional[np.ndarray]) -> np.ndarray:
@@ -44,7 +42,7 @@ def score_candidates(candidates: list, prototype: Optional[np.ndarray]) -> np.nd
     stacked = np.stack([np.asarray(c, dtype=np.float64) for c in candidates])
     norms = np.linalg.norm(stacked, axis=1) * np.linalg.norm(prototype)
     dists = stacked @ prototype / norms
-    if len(candidates) < DEGENERATE_MIN_POINTS or dists.std() < DEGENERATE_SPREAD:
+    if len(candidates) < gmm.MIN_POINTS or dists.std() < gmm.MIN_SPREAD:
         return np.ones(len(candidates))
     fit = gmm.fit_gmm(dists)
     return gmm.reliability_many(fit, dists)
@@ -55,8 +53,8 @@ def select(bank: MemoryBank, pseudo_label: int, anchor, f_p: np.ndarray,
     """Threshold the scored candidates; fall back to {f^p} vs the whole bank
     when the anchor's own score is not above epsilon.
 
-    ``scores`` must be aligned with build_candidates order (bank candidates
-    in insertion order, then f^p last).
+    ``scores`` must be aligned with build_candidates order (the class's bank
+    records in insertion order, then the anchor's own score last).
     """
     f_p = np.asarray(f_p, dtype=np.float64)
     gamma_fp = float(scores[-1])
@@ -66,10 +64,12 @@ def select(bank: MemoryBank, pseudo_label: int, anchor, f_p: np.ndarray,
             negatives=bank.all_embeddings(), anchor_reliability=gamma_fp,
             used_fallback=True)
 
-    cand_idx = [i for i, (_, lab) in enumerate(bank.entries) if lab == pseudo_label]
+    cand_idx = [i for i, (_, _, lab) in enumerate(bank.entries)
+                if lab == pseudo_label]
     pos_bank_idx = {i for i, s in zip(cand_idx, scores[:-1]) if s > epsilon}
     positives = [bank.entries[i][0] for i in sorted(pos_bank_idx)] + [f_p]
-    negatives = [emb for i, (emb, _) in enumerate(bank.entries) if i not in pos_bank_idx]
+    negatives = [emb for i, (emb, _, _) in enumerate(bank.entries)
+                 if i not in pos_bank_idx]
     return AclSelection(
         anchor=anchor, naive_positive=f_p, positives=positives,
         negatives=negatives, anchor_reliability=gamma_fp, used_fallback=False)

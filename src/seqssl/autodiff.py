@@ -69,26 +69,6 @@ class Tensor:
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)
 
-    # convenience operators (scalar "other" allowed for * and /)
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return scale(self, 1.0 / float(other))
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -142,20 +122,6 @@ def sub(a, b):
             b._accum(-g)
 
     return _node(a.data - b.data, (a, b), bwd)
-
-
-def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"mul: {a.shape} vs {b.shape}")
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(g * b.data)
-        if b.requires_grad:
-            b._accum(g * a.data)
-
-    return _node(a.data * b.data, (a, b), bwd)
 
 
 def scale(a, c):
@@ -285,26 +251,6 @@ def l2_normalize(v):
     return _node(u, (v,), bwd)
 
 
-def cosine_similarity(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 1 or a.shape != b.shape:
-        raise ShapeMismatch(f"cosine_similarity: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a.data)
-    nb = np.linalg.norm(b.data)
-    if na < ETA_NORM or nb < ETA_NORM:
-        raise DegenerateVector("cosine_similarity on near-zero vector")
-    c = np.dot(a.data, b.data) / (na * nb)
-
-    def bwd(g):
-        g = float(g)
-        if a.requires_grad:
-            a._accum(g * (b.data / (na * nb) - c * a.data / (na * na)))
-        if b.requires_grad:
-            b._accum(g * (a.data / (na * nb) - c * b.data / (nb * nb)))
-
-    return _node(c, (a, b), bwd)
-
-
 def softmax_temp(logits, tau):
     """Temperature softmax over a 1-D tensor; subtract-max stabilized."""
     logits = as_tensor(logits)
@@ -323,48 +269,21 @@ def softmax_temp(logits, tau):
     return _node(y, (logits,), bwd)
 
 
-def softmax_rows(a):
-    """Row-wise softmax of a 2-D tensor (used by the temporal mixing layer)."""
-    a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeMismatch(f"softmax_rows expects 2-D, got {a.shape}")
-    z = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=1, keepdims=True)
-
-    def bwd(g):
-        a._accum(y * (g - (g * y).sum(axis=1, keepdims=True)))
-
-    return _node(y, (a,), bwd)
-
-
-def cross_entropy(x, target, from_logits=False):
-    """-log p(target); x is a probability vector, or logits with from_logits."""
+def cross_entropy(x, target):
+    """-log p(target) of a probability vector x."""
     x = as_tensor(x)
     if x.data.ndim != 1:
         raise ShapeMismatch(f"cross_entropy expects 1-D, got {x.shape}")
     k = x.shape[0]
     if not (isinstance(target, (int, np.integer)) and 0 <= target < k):
         raise IndexOutOfRange(f"class index {target} for {k} classes")
-    if from_logits:
-        z = x.data - x.data.max()
-        lse = np.log(np.exp(z).sum())
-        p = np.exp(z - lse)
-        loss = lse - z[target]
 
-        def bwd(g):
-            gz = p.copy()
-            gz[target] -= 1.0
-            x._accum(float(g) * gz)
-    else:
-        loss = -np.log(x.data[target])
+    def bwd(g):
+        gz = np.zeros_like(x.data)
+        gz[target] = -float(g) / x.data[target]
+        x._accum(gz)
 
-        def bwd(g):
-            gz = np.zeros_like(x.data)
-            gz[target] = -float(g) / x.data[target]
-            x._accum(gz)
-
-    return _node(loss, (x,), bwd)
+    return _node(-np.log(x.data[target]), (x,), bwd)
 
 
 def rowwise_cosine(q, k):
@@ -404,25 +323,35 @@ def scale_rows(a, w):
     return _node(a.data * w.data[:, None], (a, w), bwd)
 
 
-def gradcheck(f, point, eps=1e-5):
-    """Max relative error between analytic and central-difference gradients.
+def gradcheck_params(loss_fn, params, eps=1e-5):
+    """Max relative error between backward() gradients and central
+    differences, over every entry of every tensor in ``params``.
 
-    Relative error per coordinate is |analytic - numeric| / max(1, |analytic|).
+    ``loss_fn()`` must rebuild the scalar loss from the current ``.data`` of
+    ``params``. Each entry is perturbed in place and restored. Relative
+    error per entry is |analytic - numeric| / max(1, |analytic|).
     """
-    p = Tensor(np.array(point.data if isinstance(point, Tensor) else point,
-                        dtype=np.float64), requires_grad=True)
-    out = f(p)
-    out.backward()
-    analytic = p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
+    for p in params:
+        p.zero_grad()
+    loss_fn().backward()
+    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
+                for p in params]
     worst = 0.0
-    for idx in np.ndindex(p.data.shape):
-        keep = p.data[idx]
-        p.data[idx] = keep + eps
-        f_plus = float(f(p).data)
-        p.data[idx] = keep - eps
-        f_minus = float(f(p).data)
-        p.data[idx] = keep
-        numeric = (f_plus - f_minus) / (2.0 * eps)
-        err = abs(analytic[idx] - numeric) / max(1.0, abs(analytic[idx]))
-        worst = max(worst, err)
+    for p, grad in zip(params, analytic):
+        for idx in np.ndindex(p.data.shape):
+            keep = p.data[idx]
+            p.data[idx] = keep + eps
+            f_plus = loss_fn().item()
+            p.data[idx] = keep - eps
+            f_minus = loss_fn().item()
+            p.data[idx] = keep
+            numeric = (f_plus - f_minus) / (2.0 * eps)
+            err = abs(grad[idx] - numeric) / max(1.0, abs(grad[idx]))
+            worst = max(worst, err)
     return worst
+
+
+def gradcheck(f, point, eps=1e-5):
+    """gradcheck_params of f at a copy of one point (a Tensor or an array)."""
+    p = parameter(point.data if isinstance(point, Tensor) else point)
+    return gradcheck_params(lambda: f(p), [p], eps)

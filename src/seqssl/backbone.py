@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, ScaleOutOfRange, ShapeMismatch
+from .errors import ScaleOutOfRange, ShapeMismatch
 
 INIT_SCALE = 0.1
 # The per-frame map needs preactivations of order one for tanh curvature to
@@ -98,19 +99,6 @@ class ParamSet:
         for p in self.params.values():
             p.zero_grad()
 
-    def flatten(self):
-        return np.concatenate([self.params[k].data.ravel() for k in self.names()])
-
-    def unflatten(self, vec):
-        i = 0
-        for k in self.names():
-            p = self.params[k]
-            n = p.data.size
-            p.data = vec[i:i + n].reshape(p.data.shape).astype(np.float64)
-            i += n
-        if i != vec.size:
-            raise ShapeMismatch(f"flat vector length {vec.size}, expected {i}")
-
 
 def encode(params: ParamSet, clip: Clip) -> EncodedClip:
     dims = params.dims
@@ -186,18 +174,22 @@ def save_checkpoint(path, student: ParamSet, teacher: ParamSet, cfg_hash: str) -
             "teacher": {k: v.data.tolist() for k, v in teacher.params.items()},
         },
     }
-    with open(path, "w") as f:
-        json.dump(payload, f)
+    write_json_atomic(path, payload)
 
 
-def load_checkpoint(path, student: ParamSet, teacher: ParamSet, cfg_hash: str) -> None:
-    with open(path) as f:
-        payload = json.load(f)
-    if payload["config_hash"] != cfg_hash:
-        raise ConfigError("checkpoint config hash does not match")
-    for role, pset in (("student", student), ("teacher", teacher)):
-        for k, p in pset.params.items():
-            arr = np.asarray(payload["params"][role][k], dtype=np.float64)
-            if arr.shape != p.data.shape:
-                raise ShapeMismatch(f"checkpoint {role}.{k}: {arr.shape} vs {p.data.shape}")
-            p.data = arr
+def write_json_atomic(path, obj, **dump_kwargs) -> None:
+    """json.dump obj to path through a temporary file in the same directory
+    and a rename, so that a reader sees the old file or the whole new one and
+    a failed dump leaves the old file as it was."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as f:
+            json.dump(obj, f, **dump_kwargs)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+

@@ -18,6 +18,7 @@ import os
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 from .errors import ConfigError
 from .synthgen import DatasetConfig, SynthDataset, difficulty_check
@@ -47,22 +48,48 @@ def load_spec(path: str) -> dict:
     return spec
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_options(section: str, values: dict, defaults) -> None:
+    """Each key must name an option, and each value must have the type of
+    that option's default: ints for int options (not bools), ints or floats
+    for float options, bools for bool options and lists of ints for tuple
+    options."""
+    for k, v in values.items():
+        if k not in defaults.__dict__:
+            raise ConfigError(f"unknown {section} option: {k}")
+        want = type(defaults.__dict__[k])
+        if want is tuple:
+            ok = isinstance(v, list) and all(_is_int(x) for x in v)
+        elif want is float:
+            ok = _is_int(v) or isinstance(v, float)
+        elif want is int:
+            ok = _is_int(v)
+        else:
+            ok = isinstance(v, want)
+        if not ok:
+            expected = "list of ints" if want is tuple else want.__name__
+            raise ConfigError(f"{section} option {k}: expected {expected}, "
+                              f"got {v!r}")
+
+
 def build_configs(spec: dict, seed_override=None):
-    known_train = set(TrainConfig().__dict__)
-    known_ds = set(DatasetConfig().__dict__)
-    for key, known in (("train", known_train), ("dataset", known_ds)):
-        for k in spec.get(key, {}):
-            if k not in known:
-                raise ConfigError(f"unknown {key} option: {k}")
     train_kw = dict(spec.get("train", {}))
+    ablation = spec.get("ablation", {})
+    train_kw.setdefault("use_acl", ablation.get("use_acl", True))
+    train_kw.setdefault("use_mtl", ablation.get("use_mtl", True))
+    _check_options("train", train_kw, TrainConfig())
+    _check_options("dataset", spec.get("dataset", {}), DatasetConfig())
     if "strides" in train_kw:
         train_kw["strides"] = tuple(train_kw["strides"])
     if "lr_drop_epochs" in train_kw:
         train_kw["lr_drop_epochs"] = tuple(train_kw["lr_drop_epochs"])
-    ablation = spec.get("ablation", {})
-    train_kw.setdefault("use_acl", ablation.get("use_acl", True))
-    train_kw.setdefault("use_mtl", ablation.get("use_mtl", True))
     cfg = TrainConfig(**train_kw)
+    if len(cfg.strides) != cfg.n_scales + 1:
+        raise ConfigError(f"strides needs n_scales + 1 = {cfg.n_scales + 1} "
+                          f"entries, got {len(cfg.strides)}")
     ds_cfg = DatasetConfig(**spec.get("dataset", {}))
     seeds = spec.get("seeds", [cfg.seed])
     if seed_override is not None:
@@ -72,31 +99,17 @@ def build_configs(spec: dict, seed_override=None):
     return cfg, ds_cfg, [int(s) for s in seeds]
 
 
-def _with(cfg: TrainConfig, **kw) -> TrainConfig:
-    d = cfg.__dict__.copy()
-    d.update(kw)
-    return TrainConfig(**d)
-
-
 def cmd_train(args) -> int:
     spec = load_spec(args.config)
     cfg, ds_cfg, seeds = build_configs(spec, args.seed)
     out = args.out or spec.get("out_dir")
     if not out:
         raise ConfigError("no output directory (set out_dir or pass --out)")
-    cfg = _with(cfg, seed=seeds[0])
+    cfg = replace(cfg, seed=seeds[0])
     ds_cfg.seed = seeds[0] if "seed" not in spec.get("dataset", {}) else ds_cfg.seed
     summary = run_training(cfg, ds_cfg, out)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
-
-
-def _run_one(packed):
-    cfg_dict, ds_dict, out = packed
-    cfg = TrainConfig(**cfg_dict)
-    cfg.strides = tuple(cfg.strides)
-    cfg.lr_drop_epochs = tuple(cfg.lr_drop_epochs)
-    return run_training(cfg, DatasetConfig(**ds_dict), out)
 
 
 def cmd_ablate(args) -> int:
@@ -107,22 +120,23 @@ def cmd_ablate(args) -> int:
         raise ConfigError("no output directory (set out_dir or pass --out)")
     os.makedirs(out, exist_ok=True)
 
-    jobs = []
+    names, run_cfgs, run_outs = [], [], []
     for name, use_acl, use_mtl in ABLATION_CONFIGS:
         for seed in seeds:
-            run_cfg = _with(cfg, use_acl=use_acl, use_mtl=use_mtl, seed=seed)
-            # one shared dataset across the grid: the ablation compares
-            # training components, so only the training seed varies
-            run_ds = ds_cfg
-            run_out = os.path.join(out, name, f"seed_{seed}")
-            jobs.append((name, seed, (run_cfg.to_dict(), run_ds.to_dict(), run_out)))
+            names.append(name)
+            run_cfgs.append(replace(cfg, use_acl=use_acl, use_mtl=use_mtl,
+                                    seed=seed))
+            run_outs.append(os.path.join(out, name, f"seed_{seed}"))
 
-    workers = min(len(jobs), os.cpu_count() or 1)
+    workers = min(len(names), os.cpu_count() or 1)
+    # one shared dataset across the grid: the ablation compares training
+    # components, so only the training seed varies
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        outcomes = list(pool.map(_run_one, [j[2] for j in jobs]))
+        outcomes = list(pool.map(run_training, run_cfgs,
+                                 [ds_cfg] * len(names), run_outs))
 
     by_config = {name: [] for name, _, _ in ABLATION_CONFIGS}
-    for (name, seed, _), summary in zip(jobs, outcomes):
+    for name, summary in zip(names, outcomes):
         by_config[name].append(summary)
 
     rows = []

@@ -49,10 +49,6 @@ class VideoTooShort(SeqsslError):
     pass
 
 
-class InvalidConfig(SeqsslError):
-    pass
-
-
 class EmptyBatch(SeqsslError):
     pass
 
@@ -65,5 +61,5 @@ class ConfigError(SeqsslError):
     pass
 
 
-class VerificationFailed(SeqsslError):
-    pass
+class NonFiniteLoss(SeqsslError):
+    """A training step produced a NaN or infinite loss."""

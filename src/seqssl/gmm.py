@@ -13,6 +13,9 @@ import numpy as np
 from .errors import DegenerateSpread, TooFewPoints
 
 VAR_FLOOR = 1e-6
+# below these a set is too small or too concentrated for a meaningful mixture
+MIN_POINTS = 4
+MIN_SPREAD = 1e-6
 LL_TOL = 1e-8
 # heavily-overlapping mixtures converge slowly; 200 iterations is not enough
 # to match a multi-restart reference on separations near 0.1
@@ -45,10 +48,10 @@ def fit_gmm(points) -> GmmFit:
     """
     x = np.sort(np.asarray(points, dtype=np.float64))
     n = x.size
-    if n < 4:
-        raise TooFewPoints(f"need at least 4 points, got {n}")
-    if x.std() < 1e-6:
-        raise DegenerateSpread("sample standard deviation below 1e-6")
+    if n < MIN_POINTS:
+        raise TooFewPoints(f"need at least {MIN_POINTS} points, got {n}")
+    if x.std() < MIN_SPREAD:
+        raise DegenerateSpread(f"sample standard deviation below {MIN_SPREAD}")
 
     half = n // 2
     lo, hi = x[:half], x[half:]

@@ -49,8 +49,11 @@ def sample_multiscale(video_frames: np.ndarray, source_id: int, label,
 
 def calibrate(query_tokens, key_tokens) -> CalibrationResult:
     """Per-frame cosine attention between query and key token rows; each key
-    row is rescaled by its attention weight. Gradient flows into the query;
-    the key side is a teacher constant when the caller passes it detached."""
+    row is multiplied by its signed cosine to the matching query row. Frames
+    orthogonal to the query go to zero, and anti-correlated frames are
+    sign-flipped at full weight rather than suppressed (the attention is not
+    clamped at zero). Gradient flows into the query; the key side is a
+    teacher constant when the caller passes it detached."""
     q, k = ad.as_tensor(query_tokens), ad.as_tensor(key_tokens)
     attention = ad.rowwise_cosine(q, k)
     return CalibrationResult(attention=attention,
@@ -117,16 +120,3 @@ def mtl_loss_from_clips(weak_short: Clip, strong_short: Clip,
     for loss_n in losses[1:]:
         total = ad.add(total, loss_n)
     return ad.scale(total, 1.0 / len(losses)), per_scale
-
-
-def mtl_loss(sample: MultiScaleSample, student: ParamSet, teacher: ParamSet,
-             tau_s: float, tau_t: float, rng: np.random.Generator,
-             video_frames=None):
-    """Convenience wrapper that draws weak/strong augmentations itself."""
-    from .synthgen import strong_augment, weak_augment
-
-    weak_short = weak_augment(sample.short_clip, rng, video_frames)
-    strong_short = strong_augment(sample.short_clip, rng, video_frames)
-    weak_longs = [weak_augment(c, rng, video_frames) for c in sample.long_clips]
-    return mtl_loss_from_clips(weak_short, strong_short, weak_longs,
-                               student, teacher, tau_s, tau_t, centers=None)

@@ -42,7 +42,13 @@ class PrototypeTable:
 
 
 class MemoryBank:
-    """Bounded FIFO of (unit embedding, pseudo-label) records."""
+    """Bounded FIFO of (f_p, f_score, pseudo_label) records.
+
+    ``f_p`` is the teacher's unit projection-head embedding, which the
+    contrastive loss draws positives and negatives from. ``f_score`` is the
+    unit pooled embedding of the same clip, which reliability scoring
+    compares with the class prototype.
+    """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
@@ -51,15 +57,21 @@ class MemoryBank:
     def __len__(self):
         return len(self.entries)
 
-    def push(self, embedding: np.ndarray, pseudo_label: int) -> None:
-        if abs(np.linalg.norm(embedding) - 1.0) > UNIT_TOL:
-            raise NotNormalized(f"norm {np.linalg.norm(embedding)}")
-        self.entries.append((np.array(embedding, dtype=np.float64), int(pseudo_label)))
+    def push(self, embedding: np.ndarray, score: np.ndarray,
+             pseudo_label: int) -> None:
+        for v in (embedding, score):
+            if abs(np.linalg.norm(v) - 1.0) > UNIT_TOL:
+                raise NotNormalized(f"norm {np.linalg.norm(v)}")
+        self.entries.append((np.array(embedding, dtype=np.float64),
+                             np.array(score, dtype=np.float64),
+                             int(pseudo_label)))
         if len(self.entries) > self.capacity:
             self.entries.popleft()
 
     def candidates_of(self, class_id: int) -> list:
-        return [emb for emb, lab in self.entries if lab == class_id]
+        """Scoring vectors of the records labelled ``class_id``, in
+        insertion order."""
+        return [score for _, score, lab in self.entries if lab == class_id]
 
     def all_embeddings(self) -> list:
-        return [emb for emb, _ in self.entries]
+        return [emb for emb, _, _ in self.entries]

@@ -25,7 +25,7 @@ from typing import List, Optional
 import numpy as np
 
 from .backbone import Clip
-from .errors import InvalidConfig, VideoTooShort
+from .errors import ConfigError, VideoTooShort
 
 MOTIF_KINDS = ("sin", "square", "tri", "chirp")
 
@@ -72,7 +72,7 @@ def _motif(kind: str, freq: float, phase: float, t: np.ndarray) -> np.ndarray:
     elif kind == "chirp":
         base = np.sin(theta * (1.0 + t / (2.0 * t[-1] if t[-1] > 0 else 1.0)))
     else:
-        raise InvalidConfig(f"unknown motif kind {kind!r}")
+        raise ConfigError(f"unknown motif kind {kind!r}")
     # deep modulation: the within-clip amplitude distribution is the temporal
     # fingerprint that separates waveforms, so give it plenty of dynamic
     # range (sign flips included — the video mean stays at 1.0)
@@ -85,7 +85,7 @@ def _unit(v):
 
 def _build_classes(cfg: DatasetConfig) -> List[SynthClass]:
     if cfg.n_classes % 2 != 0:
-        raise InvalidConfig("n_classes must be even (classes are paired)")
+        raise ConfigError("n_classes must be even (classes are paired)")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xC1A5]))
     classes = []
     n_pairs = cfg.n_classes // 2
@@ -123,7 +123,7 @@ class SynthDataset:
 
     def __init__(self, cfg: DatasetConfig):
         if not 0.0 < cfg.labeled_fraction <= 1.0:
-            raise InvalidConfig("labeled_fraction must be in (0, 1]")
+            raise ConfigError("labeled_fraction must be in (0, 1]")
         self.cfg = cfg
         self.classes = _build_classes(cfg)
         self._frame_cache = {}
@@ -172,10 +172,6 @@ class SynthDataset:
                                 key=lambda r: r.source_id)
             ],
         }
-
-
-def make_dataset(cfg: DatasetConfig) -> SynthDataset:
-    return SynthDataset(cfg)
 
 
 def extract_clip(frames: np.ndarray, start: int, stride: int, clip_len: int,

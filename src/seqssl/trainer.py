@@ -15,7 +15,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from . import acl as acl_mod
 from . import autodiff as ad
 from . import backbone as bb
-from .errors import EmptyBatch, EmptyDataset, PrototypeMissing
+from .errors import EmptyBatch, EmptyDataset, NonFiniteLoss, PrototypeMissing
 from .mtl import (mtl_loss_from_clips, sample_multiscale,
                   teacher_scale_logits)
 from .protobank import MemoryBank, PrototypeTable
@@ -133,13 +133,11 @@ class TrainerState:
         self.teacher = self.student.copy_as_teacher()
         # reliability is scored in the pooled encoder space (shaped by the
         # classification losses, never pulled around by the contrastive
-        # loss), so prototypes live there too; the loss-side bank below keeps
-        # the projection-head embeddings the InfoNCE terms operate on, and a
-        # second bank holds the pooled twins of the same entries, pushed in
-        # lockstep so candidate order lines up
+        # loss), so prototypes live there too; each bank record pairs that
+        # pooled vector with the projection-head embedding the InfoNCE terms
+        # operate on
         self.protos = PrototypeTable(ds.cfg.n_classes, cfg.d_h)
         self.bank = MemoryBank(cfg.bank_capacity)
-        self.score_bank = MemoryBank(cfg.bank_capacity)
         self.velocity = {k: np.zeros_like(p.data)
                          for k, p in self.student.params.items()}
         # running centers of the teacher's per-scale temporal logits,
@@ -224,12 +222,7 @@ def prepare_step_plan(state: TrainerState, labeled_recs, unlabeled_recs,
         if cfg.use_acl:
             try:
                 proto = state.protos.get(y_hat)
-                # reliability comes from the pooled-space bank; the two banks
-                # receive the same pushes in the same order, so these scores
-                # line up one-for-one with the head-space candidates that the
-                # selection below draws positives and negatives from
-                cands = acl_mod.build_candidates(state.score_bank, y_hat,
-                                                 f_score)
+                cands = acl_mod.build_candidates(state.bank, y_hat, f_score)
                 scores = acl_mod.score_candidates(cands, proto)
                 selection = acl_mod.select(state.bank, y_hat, None, f_p,
                                            scores, cfg.epsilon)
@@ -299,12 +292,7 @@ def compute_losses(student: bb.ParamSet, teacher: bb.ParamSet, plan: StepPlan,
             loss_u = ad.add(loss_u, ad.scale(ce, weight))
         if cfg.use_acl and item.selection is not None:
             anchor = bb.spatial_embed(student, enc_strong)
-            sel = acl_mod.AclSelection(
-                anchor=anchor, naive_positive=item.selection.naive_positive,
-                positives=item.selection.positives,
-                negatives=item.selection.negatives,
-                anchor_reliability=item.selection.anchor_reliability,
-                used_fallback=item.selection.used_fallback)
+            sel = replace(item.selection, anchor=anchor)
             loss_acl = ad.add(loss_acl, acl_mod.acl_loss(sel, cfg.tau))
             n_anchors += 1
         if cfg.use_mtl:
@@ -332,14 +320,17 @@ def train_step(state: TrainerState, labeled_recs, unlabeled_recs, epoch: int,
 
     state.student.zero_grad()
     total, parts = compute_losses(state.student, state.teacher, plan, cfg)
+    if not math.isfinite(total.item()):
+        named = ", ".join(f"{k} {v.item()!r}" for k, v in parts.items())
+        raise NonFiniteLoss(f"step {state.global_step} (epoch {epoch}): "
+                            f"non-finite total loss {total.item()!r} ({named})")
     total.backward()
     sgd_step(state.student, state.velocity, lr_schedule(epoch, cfg),
              cfg.momentum, cfg.weight_decay)
     bb.ema_update(state.teacher, state.student, cfg.ema_momentum)
 
     for item in plan.unlabeled:
-        state.bank.push(item.f_p, item.pseudo_label)
-        state.score_bank.push(item.f_score, item.pseudo_label)
+        state.bank.push(item.f_p, item.f_score, item.pseudo_label)
 
     accepted = [it for it in plan.unlabeled if it.gate]
     n_correct = sum(1 for it in accepted if it.pseudo_label == it.true_label)
@@ -359,21 +350,6 @@ def train_step(state: TrainerState, labeled_recs, unlabeled_recs, epoch: int,
         n_correct_all=n_correct_all)
     state.global_step += 1
     return report
-
-
-def supervised_loss(student: bb.ParamSet, labeled_items) -> ad.Tensor:
-    """Mean cross-entropy on weak-augmented labeled views (per-item mean
-    over its clips, then mean over items)."""
-    if not labeled_items:
-        raise EmptyBatch("labeled batch is empty")
-    total = ad.Tensor(0.0)
-    for item in labeled_items:
-        per_view = ad.Tensor(0.0)
-        for clip in item.clips:
-            probs = bb.classify(student, bb.encode(student, clip))
-            per_view = ad.add(per_view, ad.cross_entropy(probs, item.label))
-        total = ad.add(total, ad.scale(per_view, 1.0 / len(item.clips)))
-    return ad.scale(total, 1.0 / len(labeled_items))
 
 
 def evaluate(params: bb.ParamSet, ds: SynthDataset, records, cfg: TrainConfig):
@@ -500,8 +476,8 @@ def run_training(cfg: TrainConfig, ds_cfg: DatasetConfig, out_dir: str,
         "epochs": cfg.epochs, "seed": cfg.seed,
         "use_acl": cfg.use_acl, "use_mtl": cfg.use_mtl,
     }
-    with open(os.path.join(out_dir, "final_eval.json"), "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
+    bb.write_json_atomic(os.path.join(out_dir, "final_eval.json"), summary,
+                         indent=2, sort_keys=True)
     return summary
 
 

@@ -14,6 +14,7 @@ from typing import List
 import numpy as np
 
 from . import acl as acl_mod
+from . import autodiff as ad
 from . import gmm
 from . import trainer as tr
 from .synthgen import DatasetConfig, SynthDataset
@@ -30,35 +31,6 @@ class CheckResult:
         return self.max_error < self.tolerance
 
 
-def flat_gradcheck(paramset, loss_fn, eps=1e-5, corrupt=False):
-    """Max relative error between backward() gradients and central
-    differences, over every entry of every trainable parameter."""
-    paramset.zero_grad()
-    loss_fn().backward()
-    analytic = {}
-    for k in paramset.names():
-        p = paramset.params[k]
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        analytic[k] = g.copy()
-    if corrupt:
-        first = paramset.names()[0]
-        analytic[first] = analytic[first] + 1.0
-    worst = 0.0
-    for k in paramset.names():
-        p = paramset.params[k]
-        for idx in np.ndindex(p.data.shape):
-            keep = p.data[idx]
-            p.data[idx] = keep + eps
-            f_plus = loss_fn().item()
-            p.data[idx] = keep - eps
-            f_minus = loss_fn().item()
-            p.data[idx] = keep
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            err = abs(analytic[k][idx] - numeric) / max(1.0, abs(analytic[k][idx]))
-            worst = max(worst, err)
-    return worst
-
-
 def small_config(seed: int):
     """Desk-miniature config used by the gradient-check suites."""
     ds_cfg = DatasetConfig(n_classes=4, per_class=6, labeled_fraction=0.34,
@@ -69,7 +41,7 @@ def small_config(seed: int):
     return cfg, ds_cfg
 
 
-def loss_gradchecks(seed: int, eps=1e-5, corrupt=False) -> List[CheckResult]:
+def loss_gradchecks(seed: int, eps=1e-5) -> List[CheckResult]:
     """Gradcheck L_l, L_u, L_ACL, L_MTL and the total over all student
     parameters at one seeded configuration (a warmed-up training state)."""
     cfg, ds_cfg = small_config(seed)
@@ -94,10 +66,10 @@ def loss_gradchecks(seed: int, eps=1e-5, corrupt=False) -> List[CheckResult]:
             return total if name == "total" else parts[name]
         return fn
 
+    params = [state.student.params[k] for k in state.student.names()]
     results = []
     for name in ("L_l", "L_u", "L_ACL", "L_MTL", "total"):
-        err = flat_gradcheck(state.student, part(name), eps=eps,
-                             corrupt=corrupt)
+        err = ad.gradcheck_params(part(name), params, eps=eps)
         results.append(CheckResult(f"gradcheck[{name}]@seed{seed}", err, 1e-4))
     return results
 
@@ -180,11 +152,11 @@ def acl_oracle_checks(n_cases: int = 50) -> List[CheckResult]:
     return [CheckResult("acl_loss_vs_direct_sum", worst, 1e-9)]
 
 
-def run_verification(corrupt: bool = False, gradcheck_seeds=(0, 1, 2)):
+def run_verification(gradcheck_seeds=(0, 1, 2)):
     """All self-checks; returns (all_passed, list of CheckResult)."""
     results = []
     for seed in gradcheck_seeds:
-        results.extend(loss_gradchecks(seed, corrupt=corrupt))
+        results.extend(loss_gradchecks(seed))
     results.extend(gmm_oracle_checks())
     results.extend(acl_oracle_checks())
     return all(r.passed for r in results), results

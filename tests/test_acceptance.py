@@ -82,12 +82,12 @@ def test_criterion_3_acl_loss_oracle():
 def _reference_select(bank, pseudo_label, f_p, scores, epsilon):
     gamma_fp = scores[-1]
     if gamma_fp <= epsilon:
-        return [f_p], [e for e, _ in bank.entries], True
-    cand_positions = [i for i, (_, lab) in enumerate(bank.entries)
+        return [f_p], [e for e, _, _ in bank.entries], True
+    cand_positions = [i for i, (_, _, lab) in enumerate(bank.entries)
                       if lab == pseudo_label]
     pos_idx = [i for i, s in zip(cand_positions, scores[:-1]) if s > epsilon]
     positives = [bank.entries[i][0] for i in pos_idx] + [f_p]
-    negatives = [e for i, (e, _) in enumerate(bank.entries)
+    negatives = [e for i, (e, _, _) in enumerate(bank.entries)
                  if i not in pos_idx]
     return positives, negatives, False
 
@@ -100,11 +100,12 @@ def test_criterion_4_selection_semantics():
         bank = MemoryBank(64)
         for _ in range(size):
             v = rng.normal(size=6)
-            bank.push(v / np.linalg.norm(v), int(rng.integers(n_classes)))
+            v = v / np.linalg.norm(v)
+            bank.push(v, v, int(rng.integers(n_classes)))
         label = int(rng.integers(n_classes))
         f_p = rng.normal(size=6)
         f_p /= np.linalg.norm(f_p)
-        n_cand = sum(1 for _, lab in bank.entries if lab == label) + 1
+        n_cand = sum(1 for _, _, lab in bank.entries if lab == label) + 1
         scores = rng.uniform(size=n_cand)
         epsilon = float(rng.uniform(0.2, 0.9))
         sel = acl_mod.select(bank, label, None, f_p, scores, epsilon)
@@ -187,6 +188,7 @@ def ablation(tmp_path_factory):
     return {"out": out, "summary": summary, "elapsed": elapsed}
 
 
+@pytest.mark.slow
 def test_criterion_7_ablation_ordering(ablation):
     med = {row["config"]: row["median_top1"]
            for row in ablation["summary"]["configs"]}
@@ -206,6 +208,7 @@ def test_criterion_7_ablation_ordering(ablation):
 # a handful of samples, and later it moves with the gate's population as
 # much as with label quality.
 
+@pytest.mark.slow
 def test_criterion_9_pseudo_label_quality(ablation):
     gains = []
     for seed in (0, 1, 2):

@@ -32,7 +32,8 @@ class TestBuildCandidates:
         rng = np.random.default_rng(1)
         bank = MemoryBank(8)
         for lab in (0, 0, 1, 1, 1):
-            bank.push(unit(rng), lab)
+            v = unit(rng)
+            bank.push(v, v, lab)
         cands = acl.build_candidates(bank, 0, unit(rng))
         assert len(cands) == 3  # two of class 0 plus f_p
 
@@ -40,7 +41,7 @@ class TestBuildCandidates:
         rng = np.random.default_rng(2)
         f_p = unit(rng)
         bank = MemoryBank(8)
-        bank.push(f_p, 0)
+        bank.push(f_p, f_p, 0)
         cands = acl.build_candidates(bank, 0, f_p)
         assert len(cands) == 2
 
@@ -90,12 +91,13 @@ def reference_select(bank, pseudo_label, f_p, scores, epsilon):
     """Brute-force selector, written directly from the selection rules."""
     gamma_fp = scores[-1]
     if gamma_fp <= epsilon:
-        return [f_p], [e for e, _ in bank.entries], True
-    cand_positions = [i for i, (_, lab) in enumerate(bank.entries)
+        return [f_p], [e for e, _, _ in bank.entries], True
+    cand_positions = [i for i, (_, _, lab) in enumerate(bank.entries)
                       if lab == pseudo_label]
     pos_idx = [i for i, s in zip(cand_positions, scores[:-1]) if s > epsilon]
     positives = [bank.entries[i][0] for i in pos_idx] + [f_p]
-    negatives = [e for i, (e, _) in enumerate(bank.entries) if i not in pos_idx]
+    negatives = [e for i, (e, _, _) in enumerate(bank.entries)
+                 if i not in pos_idx]
     return positives, negatives, False
 
 
@@ -104,7 +106,8 @@ class TestSelect:
         rng = np.random.default_rng(0)
         bank = MemoryBank(8)
         for _ in range(4):
-            bank.push(unit(rng), 0)
+            v = unit(rng)
+            bank.push(v, v, 0)
         f_p = unit(rng)
         scores = np.ones(5)
         sel = acl.select(bank, 0, None, f_p, scores, 0.7)
@@ -116,7 +119,8 @@ class TestSelect:
         rng = np.random.default_rng(1)
         bank = MemoryBank(8)
         for lab in (0, 1, 0):
-            bank.push(unit(rng), lab)
+            v = unit(rng)
+            bank.push(v, v, lab)
         f_p = unit(rng)
         scores = np.array([1.0, 1.0, 0.1])  # anchor itself unreliable
         sel = acl.select(bank, 0, None, f_p, scores, 0.7)
@@ -130,7 +134,8 @@ class TestSelect:
         rng = np.random.default_rng(2)
         bank = MemoryBank(8)
         for _ in range(4):
-            bank.push(unit(rng), 0)
+            v = unit(rng)
+            bank.push(v, v, 0)
         f_p = unit(rng)
         for g in (0.69, 0.7, 0.700001, 0.99):
             scores = np.concatenate([np.ones(4), [g]])
@@ -144,7 +149,8 @@ class TestSelect:
             n_classes = int(rng.integers(1, 5))
             bank = MemoryBank(64)
             for _ in range(n):
-                bank.push(unit(rng), int(rng.integers(0, n_classes)))
+                v = unit(rng)
+                bank.push(v, v, int(rng.integers(0, n_classes)))
             c = int(rng.integers(0, n_classes))
             f_p = unit(rng)
             n_cand = len(bank.candidates_of(c)) + 1

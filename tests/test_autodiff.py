@@ -1,5 +1,8 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqssl import autodiff as ad
 from seqssl.errors import DegenerateVector, IndexOutOfRange, NotScalar, ShapeMismatch
@@ -39,25 +42,28 @@ class TestL2Normalize:
             ad.l2_normalize(ad.Tensor([0.0, 0.0]))
 
 
+def cosine(a, b):
+    """Cosine of two vectors through rowwise_cosine on one-row tensors."""
+    return ad.rowwise_cosine(ad.Tensor([a]), ad.Tensor([b])).data.item()
+
+
 class TestCosineSimilarity:
     def test_self(self):
-        v = ad.Tensor([1.0, 2.0, 3.0])
-        assert ad.cosine_similarity(v, v).item() == pytest.approx(1.0)
+        assert cosine([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == pytest.approx(1.0)
 
     def test_orthogonal(self):
-        out = ad.cosine_similarity(ad.Tensor([1.0, 0.0]), ad.Tensor([0.0, 1.0]))
-        assert out.item() == 0.0
+        assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
 
     def test_45deg(self):
-        out = ad.cosine_similarity(ad.Tensor([1.0, 1.0]), ad.Tensor([1.0, 0.0]))
-        assert out.item() == pytest.approx(0.7071067811865475, abs=1e-9)
+        assert cosine([1.0, 1.0], [1.0, 0.0]) == pytest.approx(
+            0.7071067811865475, abs=1e-9)
 
     def test_symmetric_exact_and_bounded(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             a, b = rng.normal(size=6), rng.normal(size=6)
-            ab = ad.cosine_similarity(ad.Tensor(a), ad.Tensor(b)).item()
-            ba = ad.cosine_similarity(ad.Tensor(b), ad.Tensor(a)).item()
+            ab = cosine(a, b)
+            ba = cosine(b, a)
             assert ab == ba
             assert abs(ab) <= 1.0 + 1e-12
 
@@ -94,7 +100,8 @@ class TestCrossEntropy:
         assert out.item() == pytest.approx(np.log(4), abs=1e-12)
 
     def test_uniform2_logits(self):
-        out = ad.cross_entropy(ad.Tensor([0.3, 0.3]), 0, from_logits=True)
+        probs = ad.softmax_temp(ad.Tensor([0.3, 0.3]), 1.0)
+        out = ad.cross_entropy(probs, 0)
         assert out.item() == pytest.approx(np.log(2), abs=1e-12)
 
     def test_bad_index(self):
@@ -172,20 +179,19 @@ class TestGradcheck:
 
     def test_every_op_at_random_points(self):
         # composite touching matmul, add, tanh, exp, log, mean_rows,
-        # l2_normalize, cosine_similarity, softmax_rows, rowwise_cosine,
-        # scale_rows, cross_entropy
+        # l2_normalize, dot, rowwise_cosine, scale_rows, softmax_temp,
+        # cross_entropy
         rng = np.random.default_rng(11)
         k = ad.Tensor(rng.normal(size=(4, 3)) + 2.0)
         tgt = ad.Tensor(rng.normal(size=3))
 
         def f(w):
             m = ad.tanh(ad.add(ad.matmul(ad.Tensor(rng0), w), ad.Tensor(bias)))
-            m = ad.softmax_rows(m)
             a = ad.rowwise_cosine(m, k)
             s = ad.scale_rows(k, a)
             pooled = ad.mean_rows(s)
             u = ad.l2_normalize(pooled)
-            c = ad.cosine_similarity(u, tgt)
+            c = ad.dot(u, tgt)
             p = ad.softmax_temp(pooled, 0.5)
             ce = ad.cross_entropy(p, 1)
             return ad.add(ad.add(c, ce), ad.log(ad.exp(ad.tsum(m))))
@@ -196,3 +202,45 @@ class TestGradcheck:
             bias = rng.normal(size=3)
             point = ad.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
             assert ad.gradcheck(f, point) < 1e-4
+
+
+X_CONST = np.linspace(-0.5, 0.5, 12).reshape(4, 3)
+
+
+def two_tensor_loss(w, b, act=ad.tanh):
+    """Scalar loss of a (3, 2) weight and a (2,) bias through most ops."""
+    h = act(ad.add(ad.matmul(ad.Tensor(X_CONST), w), b))
+    pooled = ad.mean_rows(h)
+    ce = ad.cross_entropy(ad.softmax_temp(pooled, 0.5), 0)
+    spread = ad.log(ad.tsum(ad.exp(ad.scale(pooled, 0.5))))
+    return ad.add(ad.sub(ce, spread), ad.softplus(ad.dot(b, b)))
+
+
+def tanh_doubled_backward(a):
+    """tanh whose backward returns twice the true gradient."""
+    a = ad.as_tensor(a)
+    y = np.tanh(a.data)
+    return ad._node(y, (a,), lambda g: a._accum(2.0 * g * (1.0 - y * y)))
+
+
+weights = hnp.arrays(np.float64, (3, 2), elements=st.floats(-1.0, 1.0))
+biases = hnp.arrays(np.float64, (2,), elements=st.floats(-1.0, 1.0))
+
+
+class TestGradcheckParams:
+    @settings(max_examples=50, deadline=None)
+    @given(w0=weights, b0=biases)
+    def test_correct_backward_passes(self, w0, b0):
+        w, b = ad.parameter(w0), ad.parameter(b0)
+        err = ad.gradcheck_params(lambda: two_tensor_loss(w, b), [w, b])
+        assert err < 1e-6
+        np.testing.assert_array_equal(w.data, w0)   # every probe restored
+        np.testing.assert_array_equal(b.data, b0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(w0=weights, b0=biases)
+    def test_doubled_backward_is_caught(self, w0, b0):
+        w, b = ad.parameter(w0), ad.parameter(b0)
+        err = ad.gradcheck_params(
+            lambda: two_tensor_loss(w, b, act=tanh_doubled_backward), [w, b])
+        assert err > 1e-4

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from seqssl import autodiff as ad
 from seqssl import backbone as bb
-from seqssl.errors import ConfigError, ScaleOutOfRange, ShapeMismatch
+from seqssl.errors import ScaleOutOfRange, ShapeMismatch
 
 DIMS = bb.ModelDims(d_in=4, d_h=6, d_e=4, d_k=5, n_classes=3, clip_len=4,
                     n_scales=2)
@@ -149,29 +151,26 @@ class TestEmaUpdate:
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         s = make_params(0)
-        t = s.copy_as_teacher()
+        t = make_params(1, trainable=False)
         path = tmp_path / "ckpt.json"
         bb.save_checkpoint(path, s, t, "h123")
-        s2, t2 = make_params(9), make_params(10, trainable=False)
-        bb.load_checkpoint(path, s2, t2, "h123")
-        for k in s.names():
-            np.testing.assert_array_equal(s2.params[k].data, s.params[k].data)
+        payload = json.loads(path.read_text())
+        assert payload["config_hash"] == "h123"
+        for role, pset in (("student", s), ("teacher", t)):
+            assert sorted(payload["params"][role]) == pset.names()
+            for k in pset.names():
+                np.testing.assert_array_equal(
+                    np.asarray(payload["params"][role][k]), pset.params[k].data)
 
-    def test_hash_mismatch(self, tmp_path):
+    def test_failed_save_leaves_previous_checkpoint(self, tmp_path):
         s = make_params(0)
         t = s.copy_as_teacher()
         path = tmp_path / "ckpt.json"
         bb.save_checkpoint(path, s, t, "h123")
-        with pytest.raises(ConfigError):
-            bb.load_checkpoint(path, s, t, "other")
-
-    def test_shape_mismatch(self, tmp_path):
-        s = make_params(0)
-        t = s.copy_as_teacher()
-        path = tmp_path / "ckpt.json"
-        bb.save_checkpoint(path, s, t, "h123")
-        other_dims = bb.ModelDims(d_in=4, d_h=7, d_e=4, d_k=5, n_classes=3,
-                                  clip_len=4, n_scales=2)
-        s2 = bb.ParamSet.init(other_dims, np.random.default_rng(0), True)
-        with pytest.raises(ShapeMismatch):
-            bb.load_checkpoint(path, s2, s2.copy_as_teacher(), "h123")
+        before = path.read_bytes()
+        # json cannot encode this entry, so the dump fails part-way through
+        s.params["spat.b"].data = np.array([object()], dtype=object)
+        with pytest.raises(TypeError):
+            bb.save_checkpoint(path, s, t, "h123")
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json"]

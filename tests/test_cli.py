@@ -14,6 +14,25 @@ TINY = {
 }
 
 
+# (section, key, value): each makes TINY an invalid config
+INVALID_OPTIONS = [
+    ("train", "strides", [2, 4]),
+    ("train", "strides", [2, 4, 8, 16]),
+    ("train", "strides", [2, "4", 8]),
+    ("train", "lr_drop_epochs", 25),
+    ("train", "epochs", "1"),
+    ("train", "epochs", True),
+    ("train", "epochs", 1.0),
+    ("train", "lr", "0.1"),
+    ("train", "lr", False),
+    ("train", "use_acl", 1),
+    ("ablation", "use_mtl", "yes"),
+    ("dataset", "n_classes", 7),
+    ("dataset", "labeled_fraction", 0.0),
+    ("dataset", "noise", "0.05"),
+]
+
+
 def write_spec(tmp_path, spec, name="spec.json"):
     path = tmp_path / name
     path.write_text(json.dumps(spec))
@@ -57,6 +76,17 @@ class TestConfigErrors:
                        "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("section,key,value", INVALID_OPTIONS)
+    def test_invalid_option_exits_2_before_writing(self, tmp_path, capsys,
+                                                   section, key, value):
+        spec = {**TINY, section: {**TINY.get(section, {}), key: value}}
+        out = tmp_path / "o"
+        rc = cli.main(["train", "--config", write_spec(tmp_path, spec),
+                       "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (out / "metrics.csv").exists()
+
 
 class TestTrain:
     def test_train_writes_artifacts(self, tmp_path, capsys):
@@ -77,6 +107,17 @@ class TestTrain:
         assert cli.main(["train", "--config", spec_path, "--out", str(out2)]) == 0
         for name in ("metrics.csv", "epochs.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_non_finite_loss_exits_1_and_saves_no_checkpoint(
+            self, tmp_path, capsys):
+        spec = {**TINY, "train": {**TINY["train"], "lr": 1e6}}
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--config", write_spec(tmp_path, spec),
+                       "--out", str(out)])
+        assert rc == 1
+        assert "non-finite total loss" in capsys.readouterr().err
+        assert not (out / "checkpoint.json").exists()
+        assert not (out / "final_eval.json").exists()
 
     def test_seed_override_changes_metrics(self, tmp_path):
         spec_path = write_spec(tmp_path, TINY)

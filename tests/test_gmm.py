@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqssl import gmm
 from seqssl.errors import DegenerateSpread, TooFewPoints
@@ -84,3 +86,35 @@ class TestReliability:
         xs = np.linspace(-1, 1, 101)
         rs = [gmm.reliability(fit, x) for x in xs]
         assert (np.diff(rs) >= -1e-12).all()
+
+
+# prototype cosines lie in [-1, 1]; sets below MIN_POINTS or MIN_SPREAD never
+# reach fit_gmm
+cosine_sets = st.lists(st.floats(-1.0, 1.0), min_size=gmm.MIN_POINTS,
+                       max_size=60).filter(
+    lambda xs: np.std(xs) >= gmm.MIN_SPREAD)
+
+
+class TestFitGmmProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(points=cosine_sets, data=st.data())
+    def test_identical_under_permutation(self, points, data):
+        permuted = data.draw(st.permutations(points))
+        fit, fit_p = gmm.fit_gmm(points), gmm.fit_gmm(permuted)
+        np.testing.assert_array_equal(fit.means, fit_p.means)
+        np.testing.assert_array_equal(fit.variances, fit_p.variances)
+        np.testing.assert_array_equal(fit.weights, fit_p.weights)
+        assert fit.log_likelihood_trace == fit_p.log_likelihood_trace
+        assert fit.reliable_component == fit_p.reliable_component
+
+    @settings(max_examples=50, deadline=None)
+    @given(points=cosine_sets)
+    def test_fit_invariants(self, points):
+        fit = gmm.fit_gmm(points)
+        assert abs(fit.weights.sum() - 1.0) <= 1e-12
+        assert (fit.variances >= gmm.VAR_FLOOR).all()
+        other = 1 - fit.reliable_component
+        assert fit.means[fit.reliable_component] >= fit.means[other]
+        xs = np.concatenate([points, np.linspace(-1.0, 1.0, 41)])
+        r = gmm.reliability_many(fit, xs)
+        assert ((r >= 0.0) & (r <= 1.0)).all()

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from seqssl import acl
 from seqssl.errors import IndexOutOfRange, NotNormalized, PrototypeMissing
 from seqssl.protobank import MemoryBank, PrototypeTable
 
@@ -49,7 +52,8 @@ class TestPrototypeTable:
 class TestMemoryBank:
     def test_push_to_empty(self):
         bank = MemoryBank(4)
-        bank.push(unit(np.random.default_rng(0)), 1)
+        v = unit(np.random.default_rng(0))
+        bank.push(v, v, 1)
         assert len(bank) == 1
 
     def test_fifo_eviction(self):
@@ -57,28 +61,34 @@ class TestMemoryBank:
         rng = np.random.default_rng(1)
         vecs = [unit(rng) for _ in range(3)]
         for i, v in enumerate(vecs):
-            bank.push(v, i)
+            bank.push(v, v, i)
         assert len(bank) == 2
-        stored = [lab for _, lab in bank.entries]
+        stored = [lab for _, _, lab in bank.entries]
         assert stored == [1, 2]
 
     def test_not_normalized(self):
         bank = MemoryBank(4)
+        unit_v, long_v = np.array([1.0, 0.0]), np.array([1.0, 1.0])
         with pytest.raises(NotNormalized):
-            bank.push(np.array([1.0, 1.0]), 0)
+            bank.push(long_v, unit_v, 0)
+        with pytest.raises(NotNormalized):
+            bank.push(unit_v, long_v, 0)
+        assert len(bank) == 0
 
     def test_capacity_exact(self):
         bank = MemoryBank(5)
         rng = np.random.default_rng(2)
         for i in range(17):
-            bank.push(unit(rng), i % 3)
+            v = unit(rng)
+            bank.push(v, v, i % 3)
         assert len(bank) == 5
 
     def test_candidates_partition(self):
         bank = MemoryBank(32)
         rng = np.random.default_rng(3)
         for i in range(20):
-            bank.push(unit(rng), int(rng.integers(0, 4)))
+            v = unit(rng)
+            bank.push(v, v, int(rng.integers(0, 4)))
         total = sum(len(bank.candidates_of(c)) for c in range(4))
         assert total == len(bank)
 
@@ -86,6 +96,57 @@ class TestMemoryBank:
         bank = MemoryBank(8)
         rng = np.random.default_rng(4)
         for lab in (0, 1, 0):
-            bank.push(unit(rng), lab)
+            v = unit(rng)
+            bank.push(v, v, lab)
         assert len(bank.candidates_of(0)) == 2
         assert bank.candidates_of(7) == []
+
+
+class TestMemoryBankProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(capacity=st.integers(1, 8),
+           labels=st.lists(st.integers(0, 3), min_size=9, max_size=40),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_records_keep_the_pair_pushed_together(self, capacity, labels,
+                                                   seed):
+        rng = np.random.default_rng(seed)
+        bank = MemoryBank(capacity)
+        pushed = []
+        for lab in labels:
+            emb, score = unit(rng), unit(rng)
+            bank.push(emb, score, lab)
+            pushed.append((emb, score, lab))
+        assert len(bank) == capacity
+        for (emb, score, lab), (p_emb, p_score, p_lab) in zip(
+                bank.entries, pushed[-capacity:]):
+            np.testing.assert_array_equal(emb, p_emb)
+            np.testing.assert_array_equal(score, p_score)
+            assert lab == p_lab
+
+    @settings(max_examples=50, deadline=None)
+    @given(capacity=st.integers(1, 16),
+           labels=st.lists(st.integers(0, 3), min_size=1, max_size=30),
+           class_id=st.integers(0, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_candidates_match_select_positions(self, capacity, labels,
+                                               class_id, seed):
+        rng = np.random.default_rng(seed)
+        bank = MemoryBank(capacity)
+        for lab in labels:
+            bank.push(unit(rng), unit(rng), lab)
+        cands = bank.candidates_of(class_id)
+        positions = [i for i, (_, _, lab) in enumerate(bank.entries)
+                     if lab == class_id]
+        assert len(cands) == len(positions)
+        f_p = unit(rng)
+        for k, i in enumerate(positions):
+            np.testing.assert_array_equal(cands[k], bank.entries[i][1])
+            # a score above epsilon for candidate k alone makes exactly the
+            # record at bank position i a positive
+            scores = np.zeros(len(cands) + 1)
+            scores[k] = scores[-1] = 1.0
+            sel = acl.select(bank, class_id, None, f_p, scores, 0.5)
+            assert len(sel.positives) == 2
+            np.testing.assert_array_equal(sel.positives[0],
+                                          bank.entries[i][0])
+            assert len(sel.negatives) == len(bank) - 1

@@ -109,8 +109,9 @@ class TestLosses:
     def test_supervised_empty_batch(self):
         cfg, ds = small()
         state = tr.TrainerState(cfg, ds)
+        plan = tr.StepPlan(labeled=[], unlabeled=[])
         with pytest.raises(EmptyBatch):
-            tr.supervised_loss(state.student, [])
+            tr.compute_losses(state.student, state.teacher, plan, cfg)[1]["L_l"]
 
     def test_supervised_uniform_is_log_c(self):
         cfg, ds = small()
@@ -119,7 +120,8 @@ class TestLosses:
             state.student.params[k].data[:] = 0.0
         rng = np.random.default_rng(0)
         plan = tr.prepare_step_plan(state, ds.labeled[:2], [], rng)
-        loss = tr.supervised_loss(state.student, plan.labeled)
+        loss = tr.compute_losses(state.student, state.teacher, plan,
+                                 cfg)[1]["L_l"]
         assert loss.item() == pytest.approx(np.log(4), abs=1e-12)
 
     def test_gate_closed_means_zero_unsupervised(self):
