@@ -40,7 +40,7 @@ for _ in range(8):
 f_p = unit(center0 + 0.1 * rng.normal(size=d))
 
 candidates = acl.build_candidates(bank, pseudo_label=0, f_score=f_p)
-scores = acl.score_candidates(candidates, table.get(0))
+scores = acl.score_candidates([(candidates, table.get(0))])[0]
 print(f"candidate reliabilities: {scores.round(3)}")
 
 sel = acl.select(bank, 0, f_p, f_p, scores, epsilon=0.7)
@@ -55,6 +55,7 @@ print(f"contrastive loss       : {loss.item():.4f}")
 f_bad = unit(rng.normal(size=d))
 cands = acl.build_candidates(bank, 0, f_bad)
 sel_bad = acl.select(bank, 0, f_bad, f_bad,
-                     acl.score_candidates(cands, table.get(0)), epsilon=0.7)
+                     acl.score_candidates([(cands, table.get(0))])[0],
+                     epsilon=0.7)
 print(f"unreliable anchor      : fallback={sel_bad.used_fallback}, "
       f"positives={len(sel_bad.positives)}, negatives={len(sel_bad.negatives)}")

@@ -5,7 +5,7 @@ contrastive loss."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -31,21 +31,27 @@ def build_candidates(bank: MemoryBank, pseudo_label: int,
     return bank.candidates_of(pseudo_label) + [np.asarray(f_score, dtype=np.float64)]
 
 
-def score_candidates(candidates: list, prototype: Optional[np.ndarray]) -> np.ndarray:
-    """Reliability score per candidate from a per-set two-component GMM.
+def score_candidates(sets: list) -> list:
+    """Reliability scores for each (candidates, prototype) set, from one
+    two-component GMM per set; all of the sets' mixtures are fitted in one
+    batch.
 
-    Distances are cosines to the class prototype. Sets too small or too
-    concentrated for a meaningful mixture get score 1.0 everywhere.
+    Distances are cosines to the set's class prototype. Sets too small or
+    too concentrated for a meaningful mixture get score 1.0 everywhere.
     """
-    if prototype is None:
-        raise PrototypeMissing("no prototype for the candidate class")
-    stacked = np.stack([np.asarray(c, dtype=np.float64) for c in candidates])
-    norms = np.linalg.norm(stacked, axis=1) * np.linalg.norm(prototype)
-    dists = stacked @ prototype / norms
-    if len(candidates) < gmm.MIN_POINTS or dists.std() < gmm.MIN_SPREAD:
-        return np.ones(len(candidates))
-    fit = gmm.fit_gmm(dists)
-    return gmm.reliability_many(fit, dists)
+    dists = []
+    for candidates, prototype in sets:
+        if prototype is None:
+            raise PrototypeMissing("no prototype for the candidate class")
+        stacked = np.stack([np.asarray(c, dtype=np.float64) for c in candidates])
+        norms = np.linalg.norm(stacked, axis=1) * np.linalg.norm(prototype)
+        dists.append(stacked @ prototype / norms)
+    fitted = [i for i, d in enumerate(dists)
+              if len(d) >= gmm.MIN_POINTS and d.std() >= gmm.MIN_SPREAD]
+    scores = [np.ones(len(d)) for d in dists]
+    for i, fit in zip(fitted, gmm.fit_gmm_many([dists[i] for i in fitted])):
+        scores[i] = gmm.reliability_many(fit, dists[i])
+    return scores
 
 
 def select(bank: MemoryBank, pseudo_label: int, anchor, f_p: np.ndarray,

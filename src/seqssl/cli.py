@@ -75,28 +75,59 @@ def _check_options(section: str, values: dict, defaults) -> None:
                               f"got {v!r}")
 
 
+# int train options that count something: each must be at least 1
+POSITIVE_OPTIONS = ("epochs", "b_l", "b_u", "clip_len", "bank_capacity",
+                    "n_scales", "d_h", "d_e", "d_k", "checkpoint_every")
+
+
+def _section(spec: dict, name: str) -> dict:
+    section = spec.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {section!r}")
+    return section
+
+
 def build_configs(spec: dict, seed_override=None):
-    train_kw = dict(spec.get("train", {}))
-    ablation = spec.get("ablation", {})
+    train_kw = dict(_section(spec, "train"))
+    ablation = _section(spec, "ablation")
+    for k in ablation:
+        if k not in ("use_acl", "use_mtl"):
+            raise ConfigError(f"unknown ablation option: {k}")
+    _check_options("ablation", ablation, TrainConfig())
     train_kw.setdefault("use_acl", ablation.get("use_acl", True))
     train_kw.setdefault("use_mtl", ablation.get("use_mtl", True))
     _check_options("train", train_kw, TrainConfig())
-    _check_options("dataset", spec.get("dataset", {}), DatasetConfig())
+    _check_options("dataset", _section(spec, "dataset"), DatasetConfig())
     if "strides" in train_kw:
         train_kw["strides"] = tuple(train_kw["strides"])
     if "lr_drop_epochs" in train_kw:
         train_kw["lr_drop_epochs"] = tuple(train_kw["lr_drop_epochs"])
     cfg = TrainConfig(**train_kw)
+    for k in POSITIVE_OPTIONS:
+        if getattr(cfg, k) < 1:
+            raise ConfigError(f"train option {k} must be at least 1, "
+                              f"got {getattr(cfg, k)}")
+    if any(s < 1 for s in cfg.strides):
+        raise ConfigError(f"train option strides: every stride must be at "
+                          f"least 1, got {list(cfg.strides)}")
     if len(cfg.strides) != cfg.n_scales + 1:
         raise ConfigError(f"strides needs n_scales + 1 = {cfg.n_scales + 1} "
                           f"entries, got {len(cfg.strides)}")
     ds_cfg = DatasetConfig(**spec.get("dataset", {}))
     seeds = spec.get("seeds", [cfg.seed])
+    _check_seeds(seeds)
     if seed_override is not None:
         seeds = [seed_override]
-    if not seeds:
-        raise ConfigError("seed list must be non-empty")
-    return cfg, ds_cfg, [int(s) for s in seeds]
+        _check_seeds(seeds)
+    return cfg, ds_cfg, seeds
+
+
+def _check_seeds(seeds) -> None:
+    if not isinstance(seeds, list) or not seeds:
+        raise ConfigError(f"seeds must be a non-empty list, got {seeds!r}")
+    for s in seeds:
+        if not _is_int(s) or s < 0:
+            raise ConfigError(f"seeds: expected non-negative ints, got {s!r}")
 
 
 def cmd_train(args) -> int:

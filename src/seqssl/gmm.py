@@ -31,51 +31,114 @@ class GmmFit:
     reliable_component: int = 0  # index of the larger-mean component
 
 
-def _log_joint(x, fit_means, fit_vars, fit_weights):
-    # shape (n, 2): log w_k + log N(x | mu_k, var_k), by broadcasting
-    x = np.asarray(x, dtype=np.float64)[..., None]
+def _log_joint(sq_dist, fit_vars, fit_weights):
+    # log w_k + log N(x | mu_k, var_k) from sq_dist = (x - mu_k) ** 2, by
+    # broadcasting
     return np.log(fit_weights) - 0.5 * (np.log(2.0 * np.pi * fit_vars)
-                                        + (x - fit_means) ** 2 / fit_vars)
+                                        + sq_dist / fit_vars)
 
 
 def fit_gmm(points) -> GmmFit:
-    """Fit by EM with deterministic median-split initialization.
+    """Fit one set of points; see fit_gmm_many."""
+    return fit_gmm_many([points])[0]
 
-    Converges when the absolute log-likelihood change drops below 1e-8, or
-    after MAX_ITERS iterations. Raises TooFewPoints for < 4 points and
-    DegenerateSpread when the sample standard deviation is < 1e-6 (callers
-    route those cases to the degenerate scoring path instead).
+
+def fit_gmm_many(sets) -> list:
+    """Fit one mixture per set by EM with deterministic median-split
+    initialization, all sets in one padded (B, 2, N) batch.
+
+    Each set converges when its absolute log-likelihood change drops below
+    1e-8, or after MAX_ITERS iterations, and then leaves the batch. Raises
+    TooFewPoints for a set of < 4 points and DegenerateSpread when a set's
+    sample standard deviation is < 1e-6 (callers route those cases to the
+    degenerate scoring path instead).
+
+    Every fit is bit-identical to fitting its set alone: element-wise terms
+    are computed in the same order, each set's log-likelihood is summed over
+    its own unpadded slice, and the sums over points are sequential
+    (cumsum), with the zero-responsibility padding added last.
     """
-    x = np.sort(np.asarray(points, dtype=np.float64))
-    n = x.size
-    if n < MIN_POINTS:
-        raise TooFewPoints(f"need at least {MIN_POINTS} points, got {n}")
-    if x.std() < MIN_SPREAD:
-        raise DegenerateSpread(f"sample standard deviation below {MIN_SPREAD}")
+    xs = [np.sort(np.asarray(points, dtype=np.float64)) for points in sets]
+    if not xs:
+        return []
+    for x in xs:
+        if x.size < MIN_POINTS:
+            raise TooFewPoints(
+                f"need at least {MIN_POINTS} points, got {x.size}")
+        if x.std() < MIN_SPREAD:
+            raise DegenerateSpread(
+                f"sample standard deviation below {MIN_SPREAD}")
 
-    half = n // 2
-    lo, hi = x[:half], x[half:]
-    means = np.array([lo.mean(), hi.mean()])
-    variances = np.maximum(np.array([lo.var(), hi.var()]), VAR_FLOOR)
-    weights = np.array([half / n, (n - half) / n])
+    n = np.array([[x.size] for x in xs], dtype=int)          # (B, 1)
+    x = np.zeros((len(xs), n.max()))
+    means = np.empty((len(xs), 2))
+    variances = np.empty((len(xs), 2))
+    weights = np.empty((len(xs), 2))
+    for b, row in enumerate(xs):
+        x[b, :row.size] = row
+        half = row.size // 2
+        lo, hi = row[:half], row[half:]
+        means[b] = [lo.mean(), hi.mean()]
+        variances[b] = np.maximum(np.array([lo.var(), hi.var()]), VAR_FLOOR)
+        weights[b] = [half / row.size, (row.size - half) / row.size]
 
-    trace = []
+    rows = list(range(len(xs)))     # which set each batch row fits
+    traces = [[] for _ in xs]
+    fits = [None] * len(xs)
+    real = _real_points(n, x.shape[1])
+    sq = (x[:, None, :] - means[..., None]) ** 2              # (B, 2, N)
     for _ in range(MAX_ITERS):
-        lj = _log_joint(x, means, variances, weights)          # (n, 2)
-        m = lj.max(axis=1, keepdims=True)
-        log_norm = m[:, 0] + np.log(np.exp(lj - m).sum(axis=1))
-        ll = log_norm.sum()
-        trace.append(ll)
-        if len(trace) > 1 and abs(trace[-1] - trace[-2]) < LL_TOL:
+        lj = _log_joint(sq, variances[..., None], weights[..., None])
+        m = np.maximum(lj[:, 0], lj[:, 1])
+        e = np.exp(lj - m[:, None, :])
+        log_norm = m + np.log(e[:, 0] + e[:, 1])
+        done = []
+        for b, r in enumerate(rows):
+            trace = traces[r]
+            trace.append(log_norm[b, :n[b, 0]].sum())
+            if len(trace) > 1 and abs(trace[-1] - trace[-2]) < LL_TOL:
+                fits[r] = _make_fit(means[b], variances[b], weights[b], trace)
+                done.append(b)
+        if len(done) == len(rows):
             break
-        resp = np.exp(lj - log_norm[:, None])                  # (n, 2)
-        nk = resp.sum(axis=0)
-        means = (resp * x[:, None]).sum(axis=0) / nk
+
+        # responsibilities and responsibility-weighted points, summed over
+        # the points in one sequential pass
+        acc = np.empty((2,) + lj.shape)
+        resp = np.exp(lj - log_norm[:, None, :], out=acc[0])
+        if real is not None:
+            resp *= real
+        np.multiply(resp, x[:, None, :], out=acc[1])
+        nk, weighted = np.cumsum(acc, axis=-1)[..., -1]
+        means = weighted / nk
+        sq = (x[:, None, :] - means[..., None]) ** 2
         variances = np.maximum(
-            (resp * (x[:, None] - means) ** 2).sum(axis=0) / nk, VAR_FLOOR
-        )
+            np.cumsum(resp * sq, axis=-1)[..., -1] / nk, VAR_FLOOR)
         weights = nk / n
 
+        if done:
+            keep = [b for b in range(len(rows)) if b not in done]
+            rows, n = [rows[b] for b in keep], n[keep]
+            width = n.max()
+            x, sq = x[keep, :width], sq[keep, :, :width]
+            means, variances, weights = means[keep], variances[keep], weights[keep]
+            real = _real_points(n, width)
+    else:
+        # MAX_ITERS reached: the rows left keep their last M-step
+        for b, r in enumerate(rows):
+            fits[r] = _make_fit(means[b], variances[b], weights[b], traces[r])
+    return fits
+
+
+def _real_points(n, width):
+    """(B, 1, width) mask, 1.0 on each row's points and 0.0 on its padding;
+    None when no row is padded."""
+    if n.min() == width:
+        return None
+    return (np.arange(width) < n[..., None]) * 1.0
+
+
+def _make_fit(means, variances, weights, trace) -> GmmFit:
     if means[0] > means[1]:
         reliable = 0
     elif means[1] > means[0]:
@@ -83,8 +146,9 @@ def fit_gmm(points) -> GmmFit:
     else:
         # equal means: break the tie on weight, then on index
         reliable = int(weights[1] > weights[0])
-    return GmmFit(means=means, variances=variances, weights=weights,
-                  log_likelihood_trace=trace, reliable_component=reliable)
+    return GmmFit(means=means.copy(), variances=variances.copy(),
+                  weights=weights.copy(), log_likelihood_trace=trace,
+                  reliable_component=reliable)
 
 
 def reliability(fit: GmmFit, x) -> float:
@@ -94,8 +158,8 @@ def reliability(fit: GmmFit, x) -> float:
 
 def reliability_many(fit: GmmFit, xs: np.ndarray) -> np.ndarray:
     """Vectorized reliability over an array of points."""
-    lj = _log_joint(np.asarray(xs, dtype=np.float64), fit.means, fit.variances,
-                    fit.weights)
+    sq = (np.asarray(xs, dtype=np.float64)[..., None] - fit.means) ** 2
+    lj = _log_joint(sq, fit.variances, fit.weights)
     m = lj.max(axis=-1, keepdims=True)
     p = np.exp(lj - m)
     p /= p.sum(axis=-1, keepdims=True)
@@ -104,7 +168,7 @@ def reliability_many(fit: GmmFit, xs: np.ndarray) -> np.ndarray:
 
 def log_likelihood(fit: GmmFit, points) -> float:
     """Total log-likelihood of points under a fit (used by verification)."""
-    lj = _log_joint(np.asarray(points, dtype=np.float64), fit.means,
-                    fit.variances, fit.weights)
+    sq = (np.asarray(points, dtype=np.float64)[:, None] - fit.means) ** 2
+    lj = _log_joint(sq, fit.variances, fit.weights)
     m = lj.max(axis=1, keepdims=True)
     return float((m[:, 0] + np.log(np.exp(lj - m).sum(axis=1))).sum())

@@ -202,6 +202,7 @@ def prepare_step_plan(state: TrainerState, labeled_recs, unlabeled_recs,
             state.protos.update(item.label, f_l, cfg.beta)
 
     unlabeled_items = []
+    to_score = []           # (item, candidates, prototype) awaiting ACL scores
     for rec in unlabeled_recs:
         frames = ds.frames(rec)
         sample = sample_multiscale(frames, rec.source_id, None, cfg.strides,
@@ -217,29 +218,36 @@ def prepare_step_plan(state: TrainerState, labeled_recs, unlabeled_recs,
         pooled = enc_p.pooled.data
         f_score = pooled / max(float(np.linalg.norm(pooled)), 1e-12)
 
-        gamma = 1.0
-        selection = None
+        item = UnlabeledItem(
+            weak_short=weak_short, strong_short=strong_short,
+            weak_longs=weak_longs, pseudo_label=y_hat, fused_max=fused_max,
+            gate=fused_max > cfg.delta, gamma=1.0, selection=None,
+            f_p=f_p, f_score=f_score, true_label=rec.class_id,
+            source_id=rec.source_id)
+        unlabeled_items.append(item)
         if cfg.use_acl:
             try:
                 proto = state.protos.get(y_hat)
-                cands = acl_mod.build_candidates(state.bank, y_hat, f_score)
-                scores = acl_mod.score_candidates(cands, proto)
-                selection = acl_mod.select(state.bank, y_hat, None, f_p,
-                                           scores, cfg.epsilon)
             except PrototypeMissing:
                 # no reliability evidence for this pseudo-class yet
-                selection = acl_mod.AclSelection(
+                item.selection = acl_mod.AclSelection(
                     anchor=None, naive_positive=f_p, positives=[f_p],
                     negatives=state.bank.all_embeddings(),
                     anchor_reliability=0.0, used_fallback=True)
-            gamma = selection.anchor_reliability
+                item.gamma = 0.0
+            else:
+                to_score.append((item, acl_mod.build_candidates(
+                    state.bank, y_hat, f_score), proto))
 
-        unlabeled_items.append(UnlabeledItem(
-            weak_short=weak_short, strong_short=strong_short,
-            weak_longs=weak_longs, pseudo_label=y_hat, fused_max=fused_max,
-            gate=fused_max > cfg.delta, gamma=gamma, selection=selection,
-            f_p=f_p, f_score=f_score, true_label=rec.class_id,
-            source_id=rec.source_id))
+    # the bank and the prototypes stay fixed over the unlabeled batch, so all
+    # of its candidate sets are scored in one batched GMM fit
+    if to_score:
+        scores = acl_mod.score_candidates([(c, p) for _, c, p in to_score])
+        for (item, _, _), item_scores in zip(to_score, scores):
+            item.selection = acl_mod.select(state.bank, item.pseudo_label,
+                                            None, item.f_p, item_scores,
+                                            cfg.epsilon)
+            item.gamma = item.selection.anchor_reliability
 
     # the plan uses the centers as they stood before this step; then the
     # running centers absorb this batch's teacher logits

@@ -51,14 +51,14 @@ class TestScoreCandidates:
         rng = np.random.default_rng(0)
         proto = unit(rng)
         cands = [unit(rng) for _ in range(3)]
-        np.testing.assert_array_equal(acl.score_candidates(cands, proto),
+        np.testing.assert_array_equal(acl.score_candidates([(cands, proto)])[0],
                                       np.ones(3))
 
     def test_identical_candidates_degenerate(self):
         rng = np.random.default_rng(1)
         proto = unit(rng)
         v = unit(rng)
-        scores = acl.score_candidates([v.copy() for _ in range(10)], proto)
+        scores = acl.score_candidates([([v.copy() for _ in range(10)], proto)])[0]
         np.testing.assert_array_equal(scores, np.ones(10))
 
     def test_two_clusters(self):
@@ -68,24 +68,47 @@ class TestScoreCandidates:
               for _ in range(50)]
         lo = [unit_near(rng, proto, 0.2 + 0.02 * rng.standard_normal())
               for _ in range(50)]
-        scores = acl.score_candidates(hi + lo, proto)
+        scores = acl.score_candidates([(hi + lo, proto)])[0]
         assert (scores[:50] > 0.99).all()
         assert (scores[50:] < 0.01).all()
 
     def test_missing_prototype(self):
         with pytest.raises(PrototypeMissing):
-            acl.score_candidates([np.ones(3)], None)
+            acl.score_candidates([([np.ones(3)], None)])
 
     def test_permutation_invariant_membership(self):
         rng = np.random.default_rng(3)
         proto = unit(rng)
         cands = [unit_near(rng, proto, c)
                  for c in rng.uniform(-0.2, 0.95, size=24)]
-        scores = acl.score_candidates(cands, proto)
+        scores = acl.score_candidates([(cands, proto)])[0]
         perm = rng.permutation(len(cands))
-        scores_p = acl.score_candidates([cands[i] for i in perm], proto)
+        scores_p = acl.score_candidates([([cands[i] for i in perm], proto)])[0]
         np.testing.assert_allclose(scores_p, scores[perm], atol=1e-9)
 
+
+    def test_batch_matches_each_set_alone(self):
+        rng = np.random.default_rng(4)
+        sets = []
+        for n_cands in (24, 3, 60, 10, 7):
+            proto = unit(rng)
+            sets.append(([unit_near(rng, proto, c)
+                          for c in rng.uniform(-0.2, 0.95, size=n_cands)],
+                         proto))
+        v = unit(rng)
+        sets.insert(3, ([v.copy() for _ in range(10)], unit(rng)))
+        scores = acl.score_candidates(sets)
+        assert len(scores) == len(sets)
+        for (cands, proto), got in zip(sets, scores):
+            np.testing.assert_array_equal(
+                got, acl.score_candidates([(cands, proto)])[0])
+        # too small (3 points) and zero spread (one vector ten times)
+        np.testing.assert_array_equal(scores[1], np.ones(3))
+        np.testing.assert_array_equal(scores[3], np.ones(10))
+        assert not (scores[0] == 1.0).all()
+
+    def test_empty_batch(self):
+        assert acl.score_candidates([]) == []
 
 def reference_select(bank, pseudo_label, f_p, scores, epsilon):
     """Brute-force selector, written directly from the selection rules."""

@@ -14,7 +14,8 @@ TINY = {
 }
 
 
-# (section, key, value): each makes TINY an invalid config
+# (section, key, value): each makes TINY an invalid config; a key of None
+# replaces the whole section with the value
 INVALID_OPTIONS = [
     ("train", "strides", [2, 4]),
     ("train", "strides", [2, 4, 8, 16]),
@@ -30,6 +31,25 @@ INVALID_OPTIONS = [
     ("dataset", "n_classes", 7),
     ("dataset", "labeled_fraction", 0.0),
     ("dataset", "noise", "0.05"),
+    ("train", "epochs", 0),
+    ("train", "b_u", 0),
+    ("train", "b_l", 0),
+    ("train", "clip_len", 0),
+    ("train", "bank_capacity", 0),
+    ("train", "n_scales", 0),
+    ("train", "d_h", 0),
+    ("train", "d_e", -1),
+    ("train", "d_k", 0),
+    ("train", "checkpoint_every", 0),
+    ("train", "strides", [2, 0, 8]),
+    ("ablation", "use_acll", False),
+    ("ablation", None, [1]),
+    ("train", None, [1]),
+    ("seeds", None, [0.7]),
+    ("seeds", None, ["3"]),
+    ("seeds", None, [True]),
+    ("seeds", None, [-1]),
+    ("seeds", None, 3),
 ]
 
 
@@ -79,13 +99,21 @@ class TestConfigErrors:
     @pytest.mark.parametrize("section,key,value", INVALID_OPTIONS)
     def test_invalid_option_exits_2_before_writing(self, tmp_path, capsys,
                                                    section, key, value):
-        spec = {**TINY, section: {**TINY.get(section, {}), key: value}}
+        spec = {**TINY, section: value if key is None
+                else {**TINY.get(section, {}), key: value}}
         out = tmp_path / "o"
         rc = cli.main(["train", "--config", write_spec(tmp_path, spec),
                        "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error: ")
-        assert not (out / "metrics.csv").exists()
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_negative_seed_override_exits_2(self, tmp_path):
+        out = tmp_path / "o"
+        rc = cli.main(["train", "--config", write_spec(tmp_path, TINY),
+                       "--out", str(out), "--seed", "-1"])
+        assert rc == 2
+        assert not out.exists()
 
 
 class TestTrain:

@@ -13,6 +13,48 @@ def two_cluster(seed, lo=0.2, hi=0.9, sigma=0.05, n=50):
                                    rng.normal(hi, sigma, n)]), -1, 1)
 
 
+def reference_fit(points):
+    """Per-set EM in the (n, 2) layout: the loop fit_gmm_many must match bit
+    for bit."""
+    x = np.sort(np.asarray(points, dtype=np.float64))
+    n = x.size
+    half = n // 2
+    lo, hi = x[:half], x[half:]
+    means = np.array([lo.mean(), hi.mean()])
+    variances = np.maximum(np.array([lo.var(), hi.var()]), gmm.VAR_FLOOR)
+    weights = np.array([half / n, (n - half) / n])
+    trace = []
+    for _ in range(gmm.MAX_ITERS):
+        lj = np.log(weights) - 0.5 * (np.log(2.0 * np.pi * variances)
+                                      + (x[:, None] - means) ** 2 / variances)
+        m = lj.max(axis=1, keepdims=True)
+        log_norm = m[:, 0] + np.log(np.exp(lj - m).sum(axis=1))
+        trace.append(log_norm.sum())
+        if len(trace) > 1 and abs(trace[-1] - trace[-2]) < gmm.LL_TOL:
+            break
+        resp = np.exp(lj - log_norm[:, None])
+        nk = resp.sum(axis=0)
+        means = (resp * x[:, None]).sum(axis=0) / nk
+        variances = np.maximum(
+            (resp * (x[:, None] - means) ** 2).sum(axis=0) / nk, gmm.VAR_FLOOR)
+        weights = nk / n
+    if means[0] > means[1]:
+        reliable = 0
+    elif means[1] > means[0]:
+        reliable = 1
+    else:
+        reliable = int(weights[1] > weights[0])
+    return gmm.GmmFit(means, variances, weights, trace, reliable)
+
+
+def assert_same_fit(got, want):
+    np.testing.assert_array_equal(got.means, want.means)
+    np.testing.assert_array_equal(got.variances, want.variances)
+    np.testing.assert_array_equal(got.weights, want.weights)
+    assert got.log_likelihood_trace == want.log_likelihood_trace
+    assert got.reliable_component == want.reliable_component
+
+
 class TestFitGmm:
     def test_recovers_separated_means(self):
         fit = gmm.fit_gmm(two_cluster(0))
@@ -118,3 +160,38 @@ class TestFitGmmProperties:
         xs = np.concatenate([points, np.linspace(-1.0, 1.0, 41)])
         r = gmm.reliability_many(fit, xs)
         assert ((r >= 0.0) & (r <= 1.0)).all()
+
+
+class TestFitGmmMany:
+    def test_row_at_max_iters_beside_early_rows(self):
+        slow = np.clip(np.random.default_rng(2).normal(0.5, 0.1, 60), -1, 1)
+        sets = [two_cluster(0, n=30), slow, two_cluster(1, n=5),
+                [0.0, 0.0, 1.0, 1.0]]
+        fits = gmm.fit_gmm_many(sets)
+        iters = [len(f.log_likelihood_trace) for f in fits]
+        assert iters[1] == gmm.MAX_ITERS
+        assert max(iters[0], iters[2], iters[3]) < gmm.MAX_ITERS
+        for points, fit in zip(sets, fits):
+            assert_same_fit(fit, reference_fit(points))
+            assert_same_fit(fit, gmm.fit_gmm(points))
+
+    def test_checks_every_set(self):
+        with pytest.raises(TooFewPoints):
+            gmm.fit_gmm_many([two_cluster(0), [0.1, 0.2, 0.3]])
+        with pytest.raises(DegenerateSpread):
+            gmm.fit_gmm_many([two_cluster(0), [0.5] * 10])
+
+    def test_empty_batch(self):
+        assert gmm.fit_gmm_many([]) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(sets=st.lists(
+        st.lists(st.floats(-1.0, 1.0), min_size=gmm.MIN_POINTS,
+                 max_size=250).filter(lambda xs: np.std(xs) >= gmm.MIN_SPREAD),
+        min_size=1, max_size=6))
+    def test_batch_matches_each_set_alone(self, sets):
+        fits = gmm.fit_gmm_many(sets)
+        assert len(fits) == len(sets)
+        for points, fit in zip(sets, fits):
+            assert_same_fit(fit, reference_fit(points))
+            assert_same_fit(fit, gmm.fit_gmm(points))
