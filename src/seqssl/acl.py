@@ -17,8 +17,7 @@ from .protobank import MemoryBank
 @dataclass
 class AclSelection:
     anchor: object                     # Tensor (student side) or array
-    naive_positive: np.ndarray         # f^p, teacher side
-    positives: List[np.ndarray]
+    positives: List[np.ndarray]        # kept bank records, then f^p last
     negatives: List[np.ndarray]
     anchor_reliability: float
     used_fallback: bool
@@ -66,7 +65,7 @@ def select(bank: MemoryBank, pseudo_label: int, anchor, f_p: np.ndarray,
     gamma_fp = float(scores[-1])
     if gamma_fp <= epsilon:
         return AclSelection(
-            anchor=anchor, naive_positive=f_p, positives=[f_p],
+            anchor=anchor, positives=[f_p],
             negatives=bank.all_embeddings(), anchor_reliability=gamma_fp,
             used_fallback=True)
 
@@ -77,7 +76,7 @@ def select(bank: MemoryBank, pseudo_label: int, anchor, f_p: np.ndarray,
     negatives = [emb for i, (emb, _, _) in enumerate(bank.entries)
                  if i not in pos_bank_idx]
     return AclSelection(
-        anchor=anchor, naive_positive=f_p, positives=positives,
+        anchor=anchor, positives=positives,
         negatives=negatives, anchor_reliability=gamma_fp, used_fallback=False)
 
 

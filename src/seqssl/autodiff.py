@@ -324,34 +324,46 @@ def scale_rows(a, w):
 
 
 def gradcheck_params(loss_fn, params, eps=1e-5):
-    """Max relative error between backward() gradients and central
+    """Max relative errors between backward() gradients and central
     differences, over every entry of every tensor in ``params``.
 
-    ``loss_fn()`` must rebuild the scalar loss from the current ``.data`` of
-    ``params``. Each entry is perturbed in place and restored. Relative
-    error per entry is |analytic - numeric| / max(1, |analytic|).
+    ``loss_fn()`` must rebuild a sequence of scalar losses from the current
+    ``.data`` of ``params``; the result holds one worst error per scalar, in
+    the same order. Each entry is perturbed in place to +eps and -eps once,
+    every scalar is read from those two calls, and the entry is restored.
+    Each scalar's analytic gradient comes from a fresh ``loss_fn()`` and one
+    ``backward()``: the tape accumulates into intermediate nodes, so a graph
+    cannot be backpropagated twice. Relative error per entry is
+    |analytic - numeric| / max(1, |analytic|).
     """
-    for p in params:
-        p.zero_grad()
-    loss_fn().backward()
-    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
-                for p in params]
-    worst = 0.0
-    for p, grad in zip(params, analytic):
+    outs = loss_fn()
+    analytic = []
+    for k in range(len(outs)):
+        if k:
+            outs = loss_fn()
+        for p in params:
+            p.zero_grad()
+        outs[k].backward()
+        analytic.append([p.grad.copy() if p.grad is not None
+                         else np.zeros_like(p.data) for p in params])
+    worst = [0.0] * len(analytic)
+    for i, p in enumerate(params):
         for idx in np.ndindex(p.data.shape):
             keep = p.data[idx]
             p.data[idx] = keep + eps
-            f_plus = loss_fn().item()
+            f_plus = [t.item() for t in loss_fn()]
             p.data[idx] = keep - eps
-            f_minus = loss_fn().item()
+            f_minus = [t.item() for t in loss_fn()]
             p.data[idx] = keep
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            err = abs(grad[idx] - numeric) / max(1.0, abs(grad[idx]))
-            worst = max(worst, err)
+            for k, grads in enumerate(analytic):
+                g = grads[i][idx]
+                numeric = (f_plus[k] - f_minus[k]) / (2.0 * eps)
+                worst[k] = max(worst[k], abs(g - numeric) / max(1.0, abs(g)))
     return worst
 
 
 def gradcheck(f, point, eps=1e-5):
-    """gradcheck_params of f at a copy of one point (a Tensor or an array)."""
+    """gradcheck_params of the single scalar f at a copy of one point (a
+    Tensor or an array)."""
     p = parameter(point.data if isinstance(point, Tensor) else point)
-    return gradcheck_params(lambda: f(p), [p], eps)
+    return gradcheck_params(lambda: [f(p)], [p], eps)[0]

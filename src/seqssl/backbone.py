@@ -174,17 +174,18 @@ def save_checkpoint(path, student: ParamSet, teacher: ParamSet, cfg_hash: str) -
             "teacher": {k: v.data.tolist() for k, v in teacher.params.items()},
         },
     }
-    write_json_atomic(path, payload)
+    write_atomic(path, lambda f: json.dump(payload, f))
 
 
-def write_json_atomic(path, obj, **dump_kwargs) -> None:
-    """json.dump obj to path through a temporary file in the same directory
-    and a rename, so that a reader sees the old file or the whole new one and
-    a failed dump leaves the old file as it was."""
+def write_atomic(path, write) -> None:
+    """Fill path by write(f), on a text file without newline translation,
+    through a temporary file in the same directory and a rename, so that a
+    reader sees the old file or the whole new one and a failed write leaves
+    the old file as it was."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w") as f:
-            json.dump(obj, f, **dump_kwargs)
+        with open(tmp, "w", newline="") as f:
+            write(f)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)

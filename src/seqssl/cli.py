@@ -20,8 +20,10 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
+from .backbone import write_atomic
 from .errors import ConfigError
-from .synthgen import DatasetConfig, SynthDataset, difficulty_check
+from .synthgen import (DatasetConfig, SynthDataset, difficulty_check,
+                       labeled_per_class)
 from .trainer import TrainConfig, run_training
 from .verify import run_verification
 
@@ -114,12 +116,38 @@ def build_configs(spec: dict, seed_override=None):
         raise ConfigError(f"strides needs n_scales + 1 = {cfg.n_scales + 1} "
                           f"entries, got {len(cfg.strides)}")
     ds_cfg = DatasetConfig(**spec.get("dataset", {}))
+    _check_dataset(ds_cfg, cfg)
     seeds = spec.get("seeds", [cfg.seed])
     _check_seeds(seeds)
     if seed_override is not None:
         seeds = [seed_override]
         _check_seeds(seeds)
     return cfg, ds_cfg, seeds
+
+
+# int dataset options and the least value each may take
+DATASET_MINIMA = (("n_classes", 2), ("per_class", 1), ("d_in", 1), ("seed", 0))
+
+
+def _check_dataset(ds_cfg: DatasetConfig, cfg: TrainConfig) -> None:
+    """Dataset ranges, a video long enough for the longest-stride clip, and
+    a split with labeled and unlabeled videos in every class."""
+    for k, least in DATASET_MINIMA:
+        if getattr(ds_cfg, k) < least:
+            raise ConfigError(f"dataset option {k} must be at least {least}, "
+                              f"got {getattr(ds_cfg, k)}")
+    if ds_cfg.noise < 0:
+        raise ConfigError(f"dataset option noise must be at least 0, "
+                          f"got {ds_cfg.noise}")
+    need = (cfg.clip_len - 1) * max(cfg.strides) + 1
+    if ds_cfg.video_len < need:
+        raise ConfigError(f"dataset option video_len must be at least {need} "
+                          f"for clip_len {cfg.clip_len} at stride "
+                          f"{max(cfg.strides)}, got {ds_cfg.video_len}")
+    if labeled_per_class(ds_cfg) >= ds_cfg.per_class:
+        raise ConfigError(f"labeled_fraction {ds_cfg.labeled_fraction} of "
+                          f"per_class {ds_cfg.per_class} leaves no unlabeled "
+                          f"video")
 
 
 def _check_seeds(seeds) -> None:
@@ -185,13 +213,15 @@ def cmd_ablate(args) -> int:
         "both_minus_baseline": medians["both"] - medians["baseline"],
     }
     summary = {"configs": rows, "ordering": ordering, "seeds": seeds}
-    with open(os.path.join(out, "summary.json"), "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-    with open(os.path.join(out, "summary.csv"), "w", newline="") as f:
+    write_atomic(os.path.join(out, "summary.json"),
+                 lambda f: json.dump(summary, f, indent=2, sort_keys=True))
+
+    def write_csv(f):
         w = csv.writer(f)
         w.writerow(["config", "median_top1"])
         for row in rows:
             w.writerow([row["config"], repr(row["median_top1"])])
+    write_atomic(os.path.join(out, "summary.csv"), write_csv)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
@@ -214,13 +244,13 @@ def cmd_gen_data(args) -> int:
     os.makedirs(out, exist_ok=True)
     ds_cfg.seed = seeds[0]
     ds = SynthDataset(ds_cfg)
-    with open(os.path.join(out, "manifest.json"), "w") as f:
-        json.dump(ds.manifest(), f, indent=2)
+    write_atomic(os.path.join(out, "manifest.json"),
+                 lambda f: json.dump(ds.manifest(), f, indent=2))
     worst = difficulty_check(ds)
     report = {"spatial_pair_linear_accuracy": worst,
               "hard_enough": worst <= 0.60}
-    with open(os.path.join(out, "difficulty.json"), "w") as f:
-        json.dump(report, f, indent=2)
+    write_atomic(os.path.join(out, "difficulty.json"),
+                 lambda f: json.dump(report, f, indent=2))
     print(json.dumps(report, indent=2))
     return 0
 

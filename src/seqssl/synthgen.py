@@ -118,18 +118,23 @@ def _build_classes(cfg: DatasetConfig) -> List[SynthClass]:
     return classes
 
 
+def labeled_per_class(cfg: DatasetConfig) -> int:
+    """How many of each class's videos are labeled (at least one)."""
+    if not 0.0 < cfg.labeled_fraction <= 1.0:
+        raise ConfigError("labeled_fraction must be in (0, 1]")
+    return max(1, int(np.floor(cfg.per_class * cfg.labeled_fraction)))
+
+
 class SynthDataset:
     """Regenerable dataset: class definitions plus labeled/unlabeled records."""
 
     def __init__(self, cfg: DatasetConfig):
-        if not 0.0 < cfg.labeled_fraction <= 1.0:
-            raise ConfigError("labeled_fraction must be in (0, 1]")
+        n_labeled = labeled_per_class(cfg)
         self.cfg = cfg
         self.classes = _build_classes(cfg)
         self._frame_cache = {}
         self.labeled: List[VideoRecord] = []
         self.unlabeled: List[VideoRecord] = []
-        n_labeled = max(1, int(np.floor(cfg.per_class * cfg.labeled_fraction)))
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5B11]))
         for c in range(cfg.n_classes):
             order = rng.permutation(cfg.per_class)

@@ -83,8 +83,6 @@ class StepReport:
     total: float
     acceptance_rate: float
     mean_gamma: float
-    labeled_ids: list
-    unlabeled_ids: list
     n_correct_accepted: int = 0
     n_accepted: int = 0
     n_correct_all: int = 0
@@ -231,7 +229,7 @@ def prepare_step_plan(state: TrainerState, labeled_recs, unlabeled_recs,
             except PrototypeMissing:
                 # no reliability evidence for this pseudo-class yet
                 item.selection = acl_mod.AclSelection(
-                    anchor=None, naive_positive=f_p, positives=[f_p],
+                    anchor=None, positives=[f_p],
                     negatives=state.bank.all_embeddings(),
                     anchor_reliability=0.0, used_fallback=True)
                 item.gamma = 0.0
@@ -352,8 +350,6 @@ def train_step(state: TrainerState, labeled_recs, unlabeled_recs, epoch: int,
         total=total.item(),
         acceptance_rate=len(accepted) / max(1, len(plan.unlabeled)),
         mean_gamma=float(np.mean(gammas)) if gammas else 1.0,
-        labeled_ids=[r.source_id for r in labeled_recs],
-        unlabeled_ids=[r.source_id for r in unlabeled_recs],
         n_correct_accepted=n_correct, n_accepted=len(accepted),
         n_correct_all=n_correct_all)
     state.global_step += 1
@@ -402,10 +398,10 @@ def run_training(cfg: TrainConfig, ds_cfg: DatasetConfig, out_dir: str,
 
     resolved = {"train": cfg.to_dict(), "dataset": ds_cfg.to_dict()}
     cfg_hash = bb.config_hash(resolved)
-    with open(os.path.join(out_dir, "resolved_config.json"), "w") as f:
-        json.dump(resolved, f, indent=2, sort_keys=True)
-    with open(os.path.join(out_dir, "manifest.json"), "w") as f:
-        json.dump(ds.manifest(), f)
+    bb.write_atomic(os.path.join(out_dir, "resolved_config.json"),
+                    lambda f: json.dump(resolved, f, indent=2, sort_keys=True))
+    bb.write_atomic(os.path.join(out_dir, "manifest.json"),
+                    lambda f: json.dump(ds.manifest(), f))
 
     steps_per_epoch = math.ceil(len(ds.unlabeled) / cfg.b_u)
     metrics_path = os.path.join(out_dir, "metrics.csv")
@@ -484,8 +480,8 @@ def run_training(cfg: TrainConfig, ds_cfg: DatasetConfig, out_dir: str,
         "epochs": cfg.epochs, "seed": cfg.seed,
         "use_acl": cfg.use_acl, "use_mtl": cfg.use_mtl,
     }
-    bb.write_json_atomic(os.path.join(out_dir, "final_eval.json"), summary,
-                         indent=2, sort_keys=True)
+    bb.write_atomic(os.path.join(out_dir, "final_eval.json"),
+                    lambda f: json.dump(summary, f, indent=2, sort_keys=True))
     return summary
 
 

@@ -4,6 +4,11 @@ exponential-sum oracle for the contrastive loss.
 
 The oracles here are deliberately written against the formulas, not against
 the implementations they check.
+
+The gradient checks perturb each student parameter entry once per seed and
+read all five losses from that one pair of forward passes. The EM oracle
+runs its 50 restarts as one batch; each restart follows the same arithmetic
+as it would alone, so the oracle's result does not depend on the batching.
 """
 
 from __future__ import annotations
@@ -59,49 +64,63 @@ def loss_gradchecks(seed: int, eps=1e-5) -> List[CheckResult]:
     plan = tr.prepare_step_plan(state, ds.labeled[:cfg.b_l],
                                 ds.unlabeled[:cfg.b_u], plan_rng)
 
-    def part(name):
-        def fn():
-            total, parts = tr.compute_losses(state.student, state.teacher,
-                                             plan, cfg)
-            return total if name == "total" else parts[name]
-        return fn
+    names = ("L_l", "L_u", "L_ACL", "L_MTL", "total")
+
+    def losses():
+        total, parts = tr.compute_losses(state.student, state.teacher,
+                                         plan, cfg)
+        return [total if name == "total" else parts[name] for name in names]
 
     params = [state.student.params[k] for k in state.student.names()]
-    results = []
-    for name in ("L_l", "L_u", "L_ACL", "L_MTL", "total"):
-        err = ad.gradcheck_params(part(name), params, eps=eps)
-        results.append(CheckResult(f"gradcheck[{name}]@seed{seed}", err, 1e-4))
-    return results
+    errs = ad.gradcheck_params(losses, params, eps=eps)
+    return [CheckResult(f"gradcheck[{name}]@seed{seed}", err, 1e-4)
+            for name, err in zip(names, errs)]
 
 
 def oracle_em(points: np.ndarray, n_restarts: int = 50, seed: int = 0):
     """Independent 2-component EM with random restarts; returns the best
-    log-likelihood found."""
+    log-likelihood found.
+
+    All restarts run as one (R, n, 2) batch. Each draws its initial means
+    in turn from one generator, and leaves the batch once its log-likelihood
+    changes by less than 1e-10, or after 500 iterations.
+    """
     x = np.asarray(points, dtype=np.float64)
     rng = np.random.default_rng(seed)
+    mu = np.stack([rng.choice(x, size=2, replace=False).astype(np.float64)
+                   for _ in range(n_restarts)])
+    var = np.full((n_restarts, 2), max(x.var(), 1e-6))
+    w = np.full((n_restarts, 2), 0.5)
+    prev = np.full(n_restarts, -np.inf)
+    final = np.empty(n_restarts)     # the log-likelihood each restart returns
+    rows = np.arange(n_restarts)     # the restart each batch row runs
+    xs = x[None, :, None]
+    for _ in range(500):
+        log_p = np.log(w[:, None, :]) - 0.5 * (
+            np.log(2 * np.pi * var[:, None, :])
+            + (xs - mu[:, None, :]) ** 2 / var[:, None, :])
+        m = log_p.max(axis=2, keepdims=True)
+        norm = m[..., 0] + np.log(np.exp(log_p - m).sum(axis=2))
+        ll = norm.sum(axis=1)
+        done = np.abs(ll - prev) < 1e-10
+        final[rows[done]] = prev[done]
+        go = ~done
+        rows, prev = rows[go], ll[go]
+        if not rows.size:
+            break
+        log_p, norm = log_p[go], norm[go]
+        # a sum over axis 1 adds one point after another, as the sum over
+        # axis 0 of one restart's (n, 2) array does, so no bits change
+        r = np.exp(log_p - norm[..., None])
+        nk = r.sum(axis=1)
+        mu = (r * xs).sum(axis=1) / nk
+        var = np.maximum((r * (xs - mu[:, None, :]) ** 2).sum(axis=1) / nk,
+                         1e-6)
+        w = nk / x.size
+    final[rows] = prev
     best = -np.inf
-    for _ in range(n_restarts):
-        mu = rng.choice(x, size=2, replace=False).astype(np.float64)
-        var = np.full(2, max(x.var(), 1e-6))
-        w = np.array([0.5, 0.5])
-        prev = -np.inf
-        for _ in range(500):
-            log_p = np.stack([
-                np.log(w[k]) - 0.5 * (np.log(2 * np.pi * var[k])
-                                      + (x - mu[k]) ** 2 / var[k])
-                for k in (0, 1)], axis=1)
-            m = log_p.max(axis=1, keepdims=True)
-            norm = m[:, 0] + np.log(np.exp(log_p - m).sum(axis=1))
-            ll = norm.sum()
-            if abs(ll - prev) < 1e-10:
-                break
-            prev = ll
-            r = np.exp(log_p - norm[:, None])
-            nk = r.sum(axis=0)
-            mu = (r * x[:, None]).sum(axis=0) / nk
-            var = np.maximum((r * (x[:, None] - mu) ** 2).sum(axis=0) / nk, 1e-6)
-            w = nk / x.size
-        best = max(best, prev)
+    for ll in final:
+        best = max(best, ll)
     return best
 
 
@@ -143,8 +162,7 @@ def acl_oracle_checks(n_cases: int = 50) -> List[CheckResult]:
         n_neg = int(rng.integers(0, 30))
         anchor, pos, neg = unit(), [unit() for _ in range(n_pos)], \
             [unit() for _ in range(n_neg)]
-        sel = acl_mod.AclSelection(anchor=anchor, naive_positive=pos[-1],
-                                   positives=pos, negatives=neg,
+        sel = acl_mod.AclSelection(anchor=anchor, positives=pos, negatives=neg,
                                    anchor_reliability=1.0, used_fallback=False)
         got = acl_mod.acl_loss(sel, 0.07).item()
         want = acl_oracle(anchor, pos, neg, 0.07)

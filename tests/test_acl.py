@@ -193,7 +193,7 @@ class TestSelect:
 class TestAclLoss:
     def test_no_negatives_zero_loss(self):
         rng = np.random.default_rng(0)
-        sel = acl.AclSelection(anchor=unit(rng), naive_positive=unit(rng),
+        sel = acl.AclSelection(anchor=unit(rng),
                                positives=[unit(rng) for _ in range(3)],
                                negatives=[], anchor_reliability=1.0,
                                used_fallback=False)
@@ -201,7 +201,6 @@ class TestAclLoss:
 
     def test_hand_case(self):
         sel = acl.AclSelection(anchor=np.array([1.0, 0.0]),
-                               naive_positive=np.array([1.0, 0.0]),
                                positives=[np.array([1.0, 0.0])],
                                negatives=[np.array([0.0, 1.0])],
                                anchor_reliability=1.0, used_fallback=False)
@@ -213,8 +212,7 @@ class TestAclLoss:
         anchor = unit(rng)
         pos = [unit(rng) for _ in range(5)]
         neg = [unit(rng) for _ in range(20)]
-        sel = acl.AclSelection(anchor=anchor, naive_positive=pos[0],
-                               positives=pos, negatives=neg,
+        sel = acl.AclSelection(anchor=anchor, positives=pos, negatives=neg,
                                anchor_reliability=1.0, used_fallback=False)
         tau = 0.07
         s_pos = sum(np.exp(np.dot(anchor, f) / tau) for f in pos)
@@ -223,7 +221,7 @@ class TestAclLoss:
         assert acl.acl_loss(sel, tau).item() == pytest.approx(expected, abs=1e-9)
 
     def test_empty_positives(self):
-        sel = acl.AclSelection(anchor=np.ones(2), naive_positive=np.ones(2),
+        sel = acl.AclSelection(anchor=np.ones(2),
                                positives=[], negatives=[],
                                anchor_reliability=0.0, used_fallback=True)
         with pytest.raises(EmptyPositives):
@@ -239,8 +237,7 @@ class TestAclLoss:
             neg = [unit(rng) for _ in range(5)]
 
             def loss(p, n):
-                sel = acl.AclSelection(anchor=anchor, naive_positive=p[0],
-                                       positives=p, negatives=n,
+                sel = acl.AclSelection(anchor=anchor, positives=p, negatives=n,
                                        anchor_reliability=1.0,
                                        used_fallback=False)
                 return acl.acl_loss(sel, 0.07).item()
@@ -257,8 +254,7 @@ class TestAclLoss:
         neg = [unit(rng) for _ in range(9)]
 
         def f(w):
-            sel = acl.AclSelection(anchor=w, naive_positive=pos[0],
-                                   positives=pos, negatives=neg,
+            sel = acl.AclSelection(anchor=w, positives=pos, negatives=neg,
                                    anchor_reliability=1.0, used_fallback=False)
             return acl.acl_loss(sel, 0.07)
 

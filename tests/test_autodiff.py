@@ -227,12 +227,20 @@ weights = hnp.arrays(np.float64, (3, 2), elements=st.floats(-1.0, 1.0))
 biases = hnp.arrays(np.float64, (2,), elements=st.floats(-1.0, 1.0))
 
 
+def three_losses(w, b):
+    """A correct loss, the same loss through a doubled tanh backward, and a
+    sum whose graph shares every node of the first loss."""
+    first = two_tensor_loss(w, b)
+    return [first, two_tensor_loss(w, b, act=tanh_doubled_backward),
+            ad.add(first, two_tensor_loss(w, b, act=ad.softplus))]
+
+
 class TestGradcheckParams:
     @settings(max_examples=50, deadline=None)
     @given(w0=weights, b0=biases)
     def test_correct_backward_passes(self, w0, b0):
         w, b = ad.parameter(w0), ad.parameter(b0)
-        err = ad.gradcheck_params(lambda: two_tensor_loss(w, b), [w, b])
+        [err] = ad.gradcheck_params(lambda: [two_tensor_loss(w, b)], [w, b])
         assert err < 1e-6
         np.testing.assert_array_equal(w.data, w0)   # every probe restored
         np.testing.assert_array_equal(b.data, b0)
@@ -241,6 +249,19 @@ class TestGradcheckParams:
     @given(w0=weights, b0=biases)
     def test_doubled_backward_is_caught(self, w0, b0):
         w, b = ad.parameter(w0), ad.parameter(b0)
-        err = ad.gradcheck_params(
-            lambda: two_tensor_loss(w, b, act=tanh_doubled_backward), [w, b])
+        [err] = ad.gradcheck_params(
+            lambda: [two_tensor_loss(w, b, act=tanh_doubled_backward)], [w, b])
         assert err > 1e-4
+
+    @settings(max_examples=30, deadline=None)
+    @given(w0=weights, b0=biases)
+    def test_several_outputs_match_one_at_a_time(self, w0, b0):
+        w, b = ad.parameter(w0), ad.parameter(b0)
+        errs = ad.gradcheck_params(lambda: three_losses(w, b), [w, b])
+        alone = [ad.gradcheck_params(lambda: [three_losses(w, b)[k]], [w, b])
+                 for k in range(3)]
+        assert [[e] for e in errs] == alone
+        assert errs[0] < 1e-6 and errs[2] < 1e-6
+        assert errs[1] > 1e-4
+        np.testing.assert_array_equal(w.data, w0)
+        np.testing.assert_array_equal(b.data, b0)

@@ -50,6 +50,14 @@ INVALID_OPTIONS = [
     ("seeds", None, [True]),
     ("seeds", None, [-1]),
     ("seeds", None, 3),
+    ("dataset", "n_classes", 0),
+    ("dataset", "n_classes", -2),
+    ("dataset", "per_class", 0),
+    ("dataset", "d_in", 0),
+    ("dataset", "noise", -1.0),
+    ("dataset", "seed", -1),
+    ("dataset", "video_len", 24),
+    ("dataset", "labeled_fraction", 1.0),
 ]
 
 

@@ -1,0 +1,89 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from seqssl import verify
+
+
+def reference_oracle_em(points, n_restarts=50, seed=0):
+    """The oracle's restarts one after another, each in an (n, 2) layout:
+    the loop the batched oracle_em must match bit for bit. Also returns, per
+    restart, the iteration it converged at, or None at the 500 cap."""
+    x = np.asarray(points, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    best = -np.inf
+    stops = []
+    for _ in range(n_restarts):
+        mu = rng.choice(x, size=2, replace=False).astype(np.float64)
+        var = np.full(2, max(x.var(), 1e-6))
+        w = np.array([0.5, 0.5])
+        prev = -np.inf
+        for it in range(500):
+            log_p = np.stack([
+                np.log(w[k]) - 0.5 * (np.log(2 * np.pi * var[k])
+                                      + (x - mu[k]) ** 2 / var[k])
+                for k in (0, 1)], axis=1)
+            m = log_p.max(axis=1, keepdims=True)
+            norm = m[:, 0] + np.log(np.exp(log_p - m).sum(axis=1))
+            ll = norm.sum()
+            if abs(ll - prev) < 1e-10:
+                stops.append(it)
+                break
+            prev = ll
+            r = np.exp(log_p - norm[:, None])
+            nk = r.sum(axis=0)
+            mu = (r * x[:, None]).sum(axis=0) / nk
+            var = np.maximum((r * (x[:, None] - mu) ** 2).sum(axis=0) / nk, 1e-6)
+            w = nk / x.size
+        else:
+            stops.append(None)
+        best = max(best, prev)
+    return best, stops
+
+
+def one_cluster(seed, n=60):
+    return np.clip(np.random.default_rng(seed).normal(0.5, 0.1, n), -1, 1)
+
+
+def two_clusters(seed, sep, n=30):
+    rng = np.random.default_rng(seed)
+    return np.clip(np.concatenate([rng.normal(0.5 - sep / 2, 0.05, n),
+                                   rng.normal(0.5 + sep / 2, 0.05, n)]), -1, 1)
+
+
+class TestOracleEm:
+    def test_some_restarts_at_the_cap(self):
+        points = one_cluster(2)
+        want, stops = reference_oracle_em(points, n_restarts=8, seed=2)
+        assert None in stops
+        assert any(s is not None for s in stops)
+        assert verify.oracle_em(points, n_restarts=8, seed=2) == want
+
+    def test_restarts_converge_at_different_iterations(self):
+        points = two_clusters(3, 0.6)
+        want, stops = reference_oracle_em(points, n_restarts=8, seed=3)
+        assert None not in stops and len(set(stops)) > 1
+        assert verify.oracle_em(points, n_restarts=8, seed=3) == want
+
+    @pytest.mark.parametrize("i", [0, 10, 19])
+    def test_verify_datasets(self, i):
+        rng = np.random.default_rng(1000 + i)
+        sep = 0.1 + 0.6 * i / 19
+        points = np.clip(np.concatenate([rng.normal(0.5 - sep / 2, 0.05, 50),
+                                         rng.normal(0.5 + sep / 2, 0.05, 50)]),
+                         -1.0, 1.0)
+        assert verify.oracle_em(points, seed=i) == \
+            reference_oracle_em(points, seed=i)[0]
+
+    @settings(max_examples=50, deadline=None)
+    @given(points=st.one_of(
+               st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=60),
+               st.builds(one_cluster, st.integers(0, 2**16),
+                         st.integers(2, 60)),
+               st.builds(two_clusters, st.integers(0, 2**16),
+                         st.floats(0.0, 1.0), st.integers(1, 30))),
+           n_restarts=st.integers(1, 6), seed=st.integers(0, 2**16))
+    def test_batch_matches_restarts_one_by_one(self, points, n_restarts, seed):
+        want, _ = reference_oracle_em(points, n_restarts, seed)
+        assert verify.oracle_em(points, n_restarts, seed) == want
