@@ -19,8 +19,7 @@ rng = np.random.default_rng(4)
 
 rec = ds.unlabeled[0]
 frames = ds.frames(rec)
-sample = mtl.sample_multiscale(frames, rec.source_id, rec.class_id,
-                               cfg.strides, cfg.clip_len, rng)
+sample = mtl.sample_multiscale(frames, cfg.strides, cfg.clip_len, rng)
 spans = [(c.stride, (cfg.clip_len - 1) * c.stride + 1)
          for c in [sample.short_clip] + sample.long_clips]
 print(f"clip strides and frame spans: {spans}")

@@ -33,7 +33,7 @@ slow, fast = ds.classes[0], ds.classes[1]
 rec_slow = next(r for r in ds.unlabeled if r.class_id == slow.class_id)
 rec_fast = next(r for r in ds.unlabeled if r.class_id == fast.class_id)
 for name, rec2 in (("slow", rec_slow), ("fast", rec_fast)):
-    clip = extract_clip(ds.frames(rec2), 0, 8, 8, rec2.source_id)
+    clip = extract_clip(ds.frames(rec2), 0, 8, 8)
     amp = np.linalg.norm(clip.frames, axis=1)
     print(f"{name} twin clip amplitude range: "
           f"{amp.min():.3f} .. {amp.max():.3f}")

@@ -5,7 +5,7 @@ contrastive loss."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -54,29 +54,31 @@ def score_candidates(sets: list) -> list:
 
 
 def select(bank: MemoryBank, pseudo_label: int, anchor, f_p: np.ndarray,
-           scores: np.ndarray, epsilon: float) -> AclSelection:
+           scores: Optional[np.ndarray], epsilon: float) -> AclSelection:
     """Threshold the scored candidates; fall back to {f^p} vs the whole bank
-    when the anchor's own score is not above epsilon.
+    when the anchor's own score is not above epsilon, or with reliability 0
+    when ``scores`` is None because the pseudo-class has no prototype yet.
 
     ``scores`` must be aligned with build_candidates order (the class's bank
     records in insertion order, then the anchor's own score last).
     """
     f_p = np.asarray(f_p, dtype=np.float64)
-    gamma_fp = float(scores[-1])
-    if gamma_fp <= epsilon:
+    gamma_fp = 0.0 if scores is None else float(scores[-1])
+    if scores is None or gamma_fp <= epsilon:
         return AclSelection(
             anchor=anchor, positives=[f_p],
             negatives=bank.all_embeddings(), anchor_reliability=gamma_fp,
             used_fallback=True)
 
-    cand_idx = [i for i, (_, _, lab) in enumerate(bank.entries)
-                if lab == pseudo_label]
-    pos_bank_idx = {i for i, s in zip(cand_idx, scores[:-1]) if s > epsilon}
-    positives = [bank.entries[i][0] for i in sorted(pos_bank_idx)] + [f_p]
-    negatives = [emb for i, (emb, _, _) in enumerate(bank.entries)
-                 if i not in pos_bank_idx]
+    positives, negatives = [], []
+    candidate_scores = iter(scores)
+    for emb, _, lab in bank.entries:
+        if lab == pseudo_label and next(candidate_scores) > epsilon:
+            positives.append(emb)
+        else:
+            negatives.append(emb)
     return AclSelection(
-        anchor=anchor, positives=positives,
+        anchor=anchor, positives=positives + [f_p],
         negatives=negatives, anchor_reliability=gamma_fp, used_fallback=False)
 
 

@@ -15,7 +15,6 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -47,8 +46,6 @@ class ModelDims:
 class Clip:
     frames: np.ndarray          # (T, d_in)
     stride: int
-    source_id: int
-    label: Optional[int] = None
     start: int = 0
 
 

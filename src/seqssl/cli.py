@@ -77,9 +77,23 @@ def _check_options(section: str, values: dict, defaults) -> None:
                               f"got {v!r}")
 
 
+# the keys a spec may hold at its top level
+SPEC_KEYS = ("train", "dataset", "seeds", "out_dir")
+
 # int train options that count something: each must be at least 1
 POSITIVE_OPTIONS = ("epochs", "b_l", "b_u", "clip_len", "bank_capacity",
-                    "n_scales", "d_h", "d_e", "d_k", "checkpoint_every")
+                    "d_h", "d_e", "d_k", "checkpoint_every")
+
+# train options with a range: (names, test, wording of the range); every
+# entry of a list option must pass the test
+TRAIN_RANGES = (
+    (POSITIVE_OPTIONS + ("strides",), lambda v: v >= 1, "at least 1"),
+    (("tau", "tau_s", "tau_t"), lambda v: v > 0, "above 0"),
+    (("delta", "epsilon", "beta", "momentum", "ema_momentum"),
+     lambda v: 0 <= v <= 1, "in [0, 1]"),
+    (("lr", "weight_decay", "mu1", "mu2", "lr_drop_epochs"),
+     lambda v: v >= 0, "at least 0"),
+)
 
 
 def _section(spec: dict, name: str) -> dict:
@@ -90,14 +104,10 @@ def _section(spec: dict, name: str) -> dict:
 
 
 def build_configs(spec: dict, seed_override=None):
+    for k in spec:
+        if k not in SPEC_KEYS:
+            raise ConfigError(f"unknown top-level key: {k}")
     train_kw = dict(_section(spec, "train"))
-    ablation = _section(spec, "ablation")
-    for k in ablation:
-        if k not in ("use_acl", "use_mtl"):
-            raise ConfigError(f"unknown ablation option: {k}")
-    _check_options("ablation", ablation, TrainConfig())
-    train_kw.setdefault("use_acl", ablation.get("use_acl", True))
-    train_kw.setdefault("use_mtl", ablation.get("use_mtl", True))
     _check_options("train", train_kw, TrainConfig())
     _check_options("dataset", _section(spec, "dataset"), DatasetConfig())
     if "strides" in train_kw:
@@ -105,16 +115,7 @@ def build_configs(spec: dict, seed_override=None):
     if "lr_drop_epochs" in train_kw:
         train_kw["lr_drop_epochs"] = tuple(train_kw["lr_drop_epochs"])
     cfg = TrainConfig(**train_kw)
-    for k in POSITIVE_OPTIONS:
-        if getattr(cfg, k) < 1:
-            raise ConfigError(f"train option {k} must be at least 1, "
-                              f"got {getattr(cfg, k)}")
-    if any(s < 1 for s in cfg.strides):
-        raise ConfigError(f"train option strides: every stride must be at "
-                          f"least 1, got {list(cfg.strides)}")
-    if len(cfg.strides) != cfg.n_scales + 1:
-        raise ConfigError(f"strides needs n_scales + 1 = {cfg.n_scales + 1} "
-                          f"entries, got {len(cfg.strides)}")
+    _check_train(cfg)
     ds_cfg = DatasetConfig(**spec.get("dataset", {}))
     _check_dataset(ds_cfg, cfg)
     seeds = spec.get("seeds", [cfg.seed])
@@ -123,6 +124,22 @@ def build_configs(spec: dict, seed_override=None):
         seeds = [seed_override]
         _check_seeds(seeds)
     return cfg, ds_cfg, seeds
+
+
+def _check_train(cfg: TrainConfig) -> None:
+    """Train option ranges, and a short-term plus at least one long-term
+    stride."""
+    values = cfg.to_dict()
+    for names, ok, wording in TRAIN_RANGES:
+        for k in names:
+            v = values[k]
+            # written as "not ok" so that a NaN fails too
+            if not all(ok(x) for x in (v if isinstance(v, list) else [v])):
+                raise ConfigError(f"train option {k} must be {wording}, "
+                                  f"got {v}")
+    if len(cfg.strides) < 2:
+        raise ConfigError(f"train option strides needs at least 2 entries, "
+                          f"got {list(cfg.strides)}")
 
 
 # int dataset options and the least value each may take

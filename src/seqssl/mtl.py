@@ -19,7 +19,6 @@ from .synthgen import extract_clip
 class MultiScaleSample:
     short_clip: Clip
     long_clips: List[Clip]
-    source_id: int
 
 
 @dataclass
@@ -28,8 +27,7 @@ class CalibrationResult:
     calibrated_tokens: ad.Tensor  # (T, d_h)
 
 
-def sample_multiscale(video_frames: np.ndarray, source_id: int, label,
-                      strides, clip_len: int,
+def sample_multiscale(video_frames: np.ndarray, strides, clip_len: int,
                       rng: np.random.Generator) -> MultiScaleSample:
     """One short-term clip (first stride) plus long-term clips (the rest),
     each from an independent random start offset."""
@@ -41,10 +39,8 @@ def sample_multiscale(video_frames: np.ndarray, source_id: int, label,
     for stride in strides:
         span = (clip_len - 1) * stride + 1
         start = int(rng.integers(0, length - span + 1))
-        clips.append(extract_clip(video_frames, start, stride, clip_len,
-                                  source_id, label))
-    return MultiScaleSample(short_clip=clips[0], long_clips=clips[1:],
-                            source_id=source_id)
+        clips.append(extract_clip(video_frames, start, stride, clip_len))
+    return MultiScaleSample(short_clip=clips[0], long_clips=clips[1:])
 
 
 def calibrate(query_tokens, key_tokens) -> CalibrationResult:

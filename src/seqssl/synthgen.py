@@ -19,7 +19,7 @@ Videos are never stored: they are regenerated bit-exactly from
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -179,38 +179,37 @@ class SynthDataset:
         }
 
 
-def extract_clip(frames: np.ndarray, start: int, stride: int, clip_len: int,
-                 source_id: int, label=None) -> Clip:
+def extract_clip(frames: np.ndarray, start: int, stride: int,
+                 clip_len: int) -> Clip:
     need = (clip_len - 1) * stride + 1
     if start < 0 or start + need > frames.shape[0]:
         raise VideoTooShort(
             f"start {start}, span {need}, video length {frames.shape[0]}")
     idx = start + stride * np.arange(clip_len)
-    return Clip(frames=frames[idx].copy(), stride=stride, source_id=source_id,
-                label=label, start=start)
+    return Clip(frames=frames[idx].copy(), stride=stride, start=start)
 
 
 def weak_augment(clip: Clip, rng: np.random.Generator,
-                 video_frames: Optional[np.ndarray] = None) -> Clip:
-    """Global scaling in [0.9, 1.1] plus +-1 frame start jitter when the
-    source video is available for re-extraction."""
+                 video_frames: np.ndarray) -> Clip:
+    """Global scaling in [0.9, 1.1] plus +-1 frame start jitter, re-cut
+    from the source video; a jitter past either end of the video is
+    dropped."""
     factor = rng.uniform(0.9, 1.1)
     jitter = int(rng.integers(-1, 2))
     frames = clip.frames
     start = clip.start
-    if video_frames is not None and jitter != 0:
+    if jitter != 0:
         need = (clip.frames.shape[0] - 1) * clip.stride + 1
         new_start = start + jitter
         if 0 <= new_start and new_start + need <= video_frames.shape[0]:
             start = new_start
             idx = start + clip.stride * np.arange(clip.frames.shape[0])
             frames = video_frames[idx]
-    return Clip(frames=frames * factor, stride=clip.stride,
-                source_id=clip.source_id, label=clip.label, start=start)
+    return Clip(frames=frames * factor, stride=clip.stride, start=start)
 
 
 def strong_augment(clip: Clip, rng: np.random.Generator,
-                   video_frames: Optional[np.ndarray] = None) -> Clip:
+                   video_frames: np.ndarray) -> Clip:
     """weak_augment, then per-channel scaling in [0.7, 1.3] and channel
     dropout with probability 0.1 per input dimension."""
     out = weak_augment(clip, rng, video_frames)

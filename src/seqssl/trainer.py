@@ -23,12 +23,12 @@ import numpy as np
 from . import acl as acl_mod
 from . import autodiff as ad
 from . import backbone as bb
-from .errors import EmptyBatch, EmptyDataset, NonFiniteLoss, PrototypeMissing
+from .errors import EmptyBatch, EmptyDataset, NonFiniteLoss
 from .mtl import (mtl_loss_from_clips, sample_multiscale,
                   teacher_scale_logits)
 from .protobank import MemoryBank, PrototypeTable
-from .synthgen import (DatasetConfig, SynthDataset, extract_clip,
-                       strong_augment, weak_augment)
+from .synthgen import (DatasetConfig, SynthDataset, VideoRecord,
+                       extract_clip, strong_augment, weak_augment)
 
 # momentum of the running center of teacher temporal logits (anti-collapse
 # bias for the alignment loss)
@@ -49,7 +49,6 @@ class TrainConfig:
     b_u: int = 5
     clip_len: int = 8
     strides: tuple = (8, 16, 32)
-    n_scales: int = 2
     lr: float = 0.005
     momentum: float = 0.9
     weight_decay: float = 0.001
@@ -64,6 +63,11 @@ class TrainConfig:
     use_acl: bool = True
     use_mtl: bool = True
     checkpoint_every: int = 10
+
+    @property
+    def n_scales(self) -> int:
+        """Long-term scales: every stride after the first."""
+        return len(self.strides) - 1
 
     def to_dict(self):
         d = dict(self.__dict__)
@@ -100,7 +104,6 @@ class UnlabeledItem:
     strong_short: bb.Clip
     weak_longs: List[bb.Clip]
     pseudo_label: int
-    fused_max: float
     gate: bool
     gamma: float
     selection: Optional[acl_mod.AclSelection]
@@ -176,15 +179,13 @@ def prepare_step_plan(state: TrainerState, labeled_recs, unlabeled_recs,
     reliability scores and contrastive selections, and updates prototypes
     from the labeled embeddings."""
     cfg, ds = state.cfg, state.ds
-    short_stride = cfg.strides[0]
 
     labeled_items = []
     for rec in labeled_recs:
         frames = ds.frames(rec)
         # labeled videos contribute every stride's view: with so few labels,
         # the supervised term is what first carves the confusable pairs apart
-        sample = sample_multiscale(frames, rec.source_id, rec.class_id,
-                                   cfg.strides, cfg.clip_len, rng)
+        sample = sample_multiscale(frames, cfg.strides, cfg.clip_len, rng)
         clips = [weak_augment(c, rng, frames)
                  for c in [sample.short_clip] + sample.long_clips]
         labeled_items.append(LabeledItem(clips=clips, label=rec.class_id))
@@ -200,11 +201,9 @@ def prepare_step_plan(state: TrainerState, labeled_recs, unlabeled_recs,
             state.protos.update(item.label, f_l, cfg.beta)
 
     unlabeled_items = []
-    to_score = []           # (item, candidates, prototype) awaiting ACL scores
     for rec in unlabeled_recs:
         frames = ds.frames(rec)
-        sample = sample_multiscale(frames, rec.source_id, None, cfg.strides,
-                                   cfg.clip_len, rng)
+        sample = sample_multiscale(frames, cfg.strides, cfg.clip_len, rng)
         weak_short = weak_augment(sample.short_clip, rng, frames)
         strong_short = strong_augment(sample.short_clip, rng, frames)
         weak_longs = [weak_augment(c, rng, frames) for c in sample.long_clips]
@@ -216,36 +215,28 @@ def prepare_step_plan(state: TrainerState, labeled_recs, unlabeled_recs,
         pooled = enc_p.pooled.data
         f_score = pooled / max(float(np.linalg.norm(pooled)), 1e-12)
 
-        item = UnlabeledItem(
+        unlabeled_items.append(UnlabeledItem(
             weak_short=weak_short, strong_short=strong_short,
-            weak_longs=weak_longs, pseudo_label=y_hat, fused_max=fused_max,
+            weak_longs=weak_longs, pseudo_label=y_hat,
             gate=fused_max > cfg.delta, gamma=1.0, selection=None,
             f_p=f_p, f_score=f_score, true_label=rec.class_id,
-            source_id=rec.source_id)
-        unlabeled_items.append(item)
-        if cfg.use_acl:
-            try:
-                proto = state.protos.get(y_hat)
-            except PrototypeMissing:
-                # no reliability evidence for this pseudo-class yet
-                item.selection = acl_mod.AclSelection(
-                    anchor=None, positives=[f_p],
-                    negatives=state.bank.all_embeddings(),
-                    anchor_reliability=0.0, used_fallback=True)
-                item.gamma = 0.0
-            else:
-                to_score.append((item, acl_mod.build_candidates(
-                    state.bank, y_hat, f_score), proto))
+            source_id=rec.source_id))
 
-    # the bank and the prototypes stay fixed over the unlabeled batch, so all
-    # of its candidate sets are scored in one batched GMM fit
-    if to_score:
-        scores = acl_mod.score_candidates([(c, p) for _, c, p in to_score])
-        for (item, _, _), item_scores in zip(to_score, scores):
-            item.selection = acl_mod.select(state.bank, item.pseudo_label,
-                                            None, item.f_p, item_scores,
-                                            cfg.epsilon)
-            item.gamma = item.selection.anchor_reliability
+    if cfg.use_acl:
+        # the bank and the prototypes stay fixed over the unlabeled batch, so
+        # its candidate sets are scored in one batched GMM fit; select falls
+        # back for a pseudo-class without a prototype
+        has_proto = [state.protos.initialized[it.pseudo_label]
+                     for it in unlabeled_items]
+        scores = iter(acl_mod.score_candidates([
+            (acl_mod.build_candidates(state.bank, it.pseudo_label, it.f_score),
+             state.protos.get(it.pseudo_label))
+            for it, ok in zip(unlabeled_items, has_proto) if ok]))
+        for it, ok in zip(unlabeled_items, has_proto):
+            it.selection = acl_mod.select(state.bank, it.pseudo_label, None,
+                                          it.f_p, next(scores) if ok else None,
+                                          cfg.epsilon)
+            it.gamma = it.selection.anchor_reliability
 
     # the plan uses the centers as they stood before this step; then the
     # running centers absorb this batch's teacher logits
@@ -294,8 +285,7 @@ def compute_losses(student: bb.ParamSet, teacher: bb.ParamSet, plan: StepPlan,
         if item.gate:
             probs = bb.classify(student, enc_strong)
             ce = ad.cross_entropy(probs, item.pseudo_label)
-            weight = item.gamma if cfg.use_acl else 1.0
-            loss_u = ad.add(loss_u, ad.scale(ce, weight))
+            loss_u = ad.add(loss_u, ad.scale(ce, item.gamma))
         if cfg.use_acl and item.selection is not None:
             anchor = bb.spatial_embed(student, enc_strong)
             sel = replace(item.selection, anchor=anchor)
@@ -366,7 +356,7 @@ def evaluate(params: bb.ParamSet, ds: SynthDataset, records, cfg: TrainConfig):
     for rec in records:
         frames = ds.frames(rec)
         start = (frames.shape[0] - span) // 2
-        clip = extract_clip(frames, start, stride, cfg.clip_len, rec.source_id)
+        clip = extract_clip(frames, start, stride, cfg.clip_len)
         probs = bb.classify(params, bb.encode(params, clip)).data
         # stable ranking: argmax ties resolve to the lowest class index
         if int(np.argmax(probs)) == rec.class_id:
@@ -404,10 +394,8 @@ def run_training(cfg: TrainConfig, ds_cfg: DatasetConfig, out_dir: str,
                     lambda f: json.dump(ds.manifest(), f))
 
     steps_per_epoch = math.ceil(len(ds.unlabeled) / cfg.b_u)
-    metrics_path = os.path.join(out_dir, "metrics.csv")
-    epochs_path = os.path.join(out_dir, "epochs.csv")
     epoch_rows = []
-    with open(metrics_path, "w", newline="") as mf:
+    with open(os.path.join(out_dir, "metrics.csv"), "w", newline="") as mf:
         mw = csv.writer(mf)
         mw.writerow(["step", "epoch", "L_l", "L_u", "L_ACL", "L_MTL", "total",
                      "acceptance_rate", "mean_gamma"])
@@ -418,7 +406,6 @@ def run_training(cfg: TrainConfig, ds_cfg: DatasetConfig, out_dir: str,
             unl_order = erng.permutation(len(ds.unlabeled))
             li = 0
             n_acc = n_corr = n_corr_all = n_seen = 0
-            acc_rates = []
             for s in range(steps_per_epoch):
                 labeled_recs = []
                 for _ in range(cfg.b_l):
@@ -438,7 +425,6 @@ def run_training(cfg: TrainConfig, ds_cfg: DatasetConfig, out_dir: str,
                 n_corr += rep.n_correct_accepted
                 n_corr_all += rep.n_correct_all
                 n_seen += len(unlabeled_recs)
-                acc_rates.append(rep.acceptance_rate)
 
             s_top1, s_top5 = evaluate(state.student, ds, eval_recs, cfg)
             t_top1, t_top5 = evaluate(state.teacher, ds, eval_recs, cfg)
@@ -454,8 +440,8 @@ def run_training(cfg: TrainConfig, ds_cfg: DatasetConfig, out_dir: str,
                 bb.save_checkpoint(os.path.join(out_dir, "checkpoint.json"),
                                    state.student, state.teacher, cfg_hash)
 
-    with open(epochs_path, "w", newline="") as ef:
-        ew = csv.writer(ef)
+    def write_epochs(f):
+        ew = csv.writer(f)
         ew.writerow(["epoch", "student_top1", "student_top5", "teacher_top1",
                      "teacher_top5", "pseudo_acc", "n_accepted",
                      "pseudo_acc_all", "acceptance_rate"])
@@ -465,6 +451,7 @@ def run_training(cfg: TrainConfig, ds_cfg: DatasetConfig, out_dir: str,
                          _fmt(row["teacher_top5"]), _fmt(row["pseudo_acc"]),
                          row["n_accepted"], _fmt(row["pseudo_acc_all"]),
                          _fmt(row["acceptance_rate"])])
+    bb.write_atomic(os.path.join(out_dir, "epochs.csv"), write_epochs)
 
     summary = {
         "top1": epoch_rows[-1]["teacher_top1"],
@@ -488,7 +475,6 @@ def run_training(cfg: TrainConfig, ds_cfg: DatasetConfig, out_dir: str,
 def eval_records(ds: SynthDataset, eval_per_class: int):
     """Held-out videos: indices beyond the training range, regenerated from
     the same class definitions."""
-    from .synthgen import VideoRecord
     recs = []
     for c in range(ds.cfg.n_classes):
         for v in range(ds.cfg.per_class, ds.cfg.per_class + eval_per_class):

@@ -165,6 +165,25 @@ class TestSelect:
             sel = acl.select(bank, 0, None, f_p, scores, 0.7)
             assert sel.used_fallback == (g <= 0.7)
 
+    def test_no_scores_falls_back_with_zero_reliability(self):
+        # scores=None: the pseudo-class has no prototype, so the anchor falls
+        # back to {f^p} vs the whole bank with gamma 0 at any epsilon
+        rng = np.random.default_rng(4)
+        bank = MemoryBank(8)
+        for lab in (0, 1, 0):
+            v = unit(rng)
+            bank.push(v, v, lab)
+        f_p = unit(rng)
+        for eps in (-1.0, 0.0, 0.7):
+            sel = acl.select(bank, 0, None, f_p, None, eps)
+            assert sel.used_fallback
+            assert sel.anchor_reliability == 0.0
+            assert len(sel.positives) == 1
+            np.testing.assert_array_equal(sel.positives[0], f_p)
+            assert len(sel.negatives) == len(bank)
+            for a, (b, _, _) in zip(sel.negatives, bank.entries):
+                np.testing.assert_array_equal(a, b)
+
     def test_matches_brute_force_on_random_banks(self):
         rng = np.random.default_rng(3)
         for trial in range(200):

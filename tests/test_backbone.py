@@ -16,8 +16,7 @@ def make_params(seed=0, trainable=True):
 
 
 def make_clip(frames):
-    return bb.Clip(frames=np.asarray(frames, dtype=np.float64), stride=1,
-                   source_id=0)
+    return bb.Clip(frames=np.asarray(frames, dtype=np.float64), stride=1)
 
 
 class TestEncode:

@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from seqssl import cli
+from seqssl import trainer as tr
+from seqssl.synthgen import SynthDataset
 
 
 TINY = {
@@ -17,7 +20,7 @@ TINY = {
 # (section, key, value): each makes TINY an invalid config; a key of None
 # replaces the whole section with the value
 INVALID_OPTIONS = [
-    ("train", "strides", [2, 4]),
+    ("train", "strides", [2]),
     ("train", "strides", [2, 4, 8, 16]),
     ("train", "strides", [2, "4", 8]),
     ("train", "lr_drop_epochs", 25),
@@ -58,6 +61,20 @@ INVALID_OPTIONS = [
     ("dataset", "seed", -1),
     ("dataset", "video_len", 24),
     ("dataset", "labeled_fraction", 1.0),
+    ("train", "tau", 0),
+    ("train", "tau_s", 0),
+    ("train", "tau_t", -1),
+    ("train", "epsilon", -0.5),
+    ("train", "delta", 2.0),
+    ("train", "beta", 1.5),
+    ("train", "momentum", 1.01),
+    ("train", "ema_momentum", 2.0),
+    ("train", "lr", -1.0),
+    ("train", "weight_decay", -0.001),
+    ("train", "mu1", -1),
+    ("train", "mu2", -0.5),
+    ("train", "lr_drop_epochs", [-3]),
+    ("trian", None, {"epochs": 1}),
 ]
 
 
@@ -116,12 +133,41 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists() or not any(out.iterdir())
 
+    def test_single_stride_exits_2(self, tmp_path, capsys):
+        spec = {**TINY, "train": {**TINY["train"], "strides": [2]}}
+        out = tmp_path / "o"
+        rc = cli.main(["train", "--config", write_spec(tmp_path, spec),
+                       "--out", str(out)])
+        assert rc == 2
+        assert "strides needs at least 2 entries" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_seed_override_exits_2(self, tmp_path):
         out = tmp_path / "o"
         rc = cli.main(["train", "--config", write_spec(tmp_path, TINY),
                        "--out", str(out), "--seed", "-1"])
         assert rc == 2
         assert not out.exists()
+
+
+class TestScales:
+    def test_four_strides_build_three_scales(self):
+        # the number of long-term scales follows the strides list
+        spec = {**TINY,
+                "train": {**TINY["train"], "strides": [2, 4, 8, 12]}}
+        cfg, ds_cfg, _ = cli.build_configs(spec)
+        assert cfg.n_scales == 3
+        assert "n_scales" not in cfg.to_dict()
+        state = tr.TrainerState(cfg, SynthDataset(ds_cfg))
+        heads = sorted(k for k in state.student.params if k.startswith("temp"))
+        assert heads == ["temp1.W", "temp1.b", "temp2.W", "temp2.b",
+                         "temp3.W", "temp3.b"]
+        assert len(state.mtl_centers) == 3
+        ds = state.ds
+        tr.train_step(state, ds.labeled[:1], ds.unlabeled[:2], 0,
+                      np.random.default_rng(0))
+        # every scale's head is trained, the last one too
+        assert np.any(state.student.params["temp3.W"].grad != 0)
 
 
 class TestTrain:

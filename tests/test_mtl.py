@@ -15,8 +15,7 @@ def make_params(seed=0, trainable=True):
 
 
 def make_clip(frames, stride=1):
-    return bb.Clip(frames=np.asarray(frames, dtype=np.float64), stride=stride,
-                   source_id=0)
+    return bb.Clip(frames=np.asarray(frames, dtype=np.float64), stride=stride)
 
 
 class TestSampleMultiscale:
@@ -24,14 +23,14 @@ class TestSampleMultiscale:
         t, stride = 8, 32
         video = np.random.default_rng(0).normal(size=((t - 1) * stride + 1, 4))
         rng = np.random.default_rng(1)
-        s = mtl.sample_multiscale(video, 0, None, (8, 16, 32), t, rng)
+        s = mtl.sample_multiscale(video, (8, 16, 32), t, rng)
         assert s.long_clips[-1].start == 0
 
     def test_deterministic_under_seed(self):
         video = np.random.default_rng(0).normal(size=(300, 4))
-        s1 = mtl.sample_multiscale(video, 0, None, (8, 16, 32), 8,
+        s1 = mtl.sample_multiscale(video, (8, 16, 32), 8,
                                    np.random.default_rng(5))
-        s2 = mtl.sample_multiscale(video, 0, None, (8, 16, 32), 8,
+        s2 = mtl.sample_multiscale(video, (8, 16, 32), 8,
                                    np.random.default_rng(5))
         np.testing.assert_array_equal(s1.short_clip.frames, s2.short_clip.frames)
         for a, b in zip(s1.long_clips, s2.long_clips):
@@ -40,7 +39,7 @@ class TestSampleMultiscale:
     def test_index_arithmetic(self):
         video = np.arange(300, dtype=np.float64)[:, None] * np.ones((1, 4))
         rng = np.random.default_rng(2)
-        s = mtl.sample_multiscale(video, 0, None, (8, 16), 8, rng)
+        s = mtl.sample_multiscale(video, (8, 16), 8, rng)
         clip = s.long_clips[0]
         o = clip.start
         np.testing.assert_array_equal(clip.frames[:, 0],
@@ -49,7 +48,7 @@ class TestSampleMultiscale:
     def test_video_too_short(self):
         video = np.zeros((100, 4))
         with pytest.raises(VideoTooShort):
-            mtl.sample_multiscale(video, 0, None, (8, 16, 32), 8,
+            mtl.sample_multiscale(video, (8, 16, 32), 8,
                                   np.random.default_rng(0))
 
 

@@ -79,7 +79,7 @@ class TestAugmentations:
         ds = sg.SynthDataset(small_cfg())
         rec = ds.unlabeled[0]
         frames = ds.frames(rec)
-        return sg.extract_clip(frames, 10, 8, 8, rec.source_id), frames
+        return sg.extract_clip(frames, 10, 8, 8), frames
 
     def test_weak_scale_linearity(self):
         clip, frames = self._clip()

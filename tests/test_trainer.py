@@ -26,7 +26,7 @@ class TestFusedPseudoLabel:
         state = tr.TrainerState(cfg, ds)
         frames = ds.frames(ds.unlabeled[0])
         from seqssl.synthgen import extract_clip
-        clip = extract_clip(frames, 0, 2, 4, 0)
+        clip = extract_clip(frames, 0, 2, 4)
         y, fused_max, per_clip = tr.fused_pseudo_label(state.teacher, clip,
                                                        [clip, clip])
         assert y == int(np.argmax(per_clip[0]))
@@ -37,7 +37,7 @@ class TestFusedPseudoLabel:
         state = tr.TrainerState(cfg, ds)
         rng = np.random.default_rng(1)
         from seqssl.synthgen import extract_clip
-        clips = [extract_clip(ds.frames(ds.unlabeled[i]), 0, 2, 4, i)
+        clips = [extract_clip(ds.frames(ds.unlabeled[i]), 0, 2, 4)
                  for i in range(3)]
         y, fused_max, per_clip = tr.fused_pseudo_label(state.teacher, clips[0],
                                                        clips[1:])
@@ -52,7 +52,7 @@ class TestFusedPseudoLabel:
         for k in ("cls.W", "cls.b"):
             state.teacher.params[k].data[:] = 0.0
         from seqssl.synthgen import extract_clip
-        clip = extract_clip(ds.frames(ds.unlabeled[0]), 0, 2, 4, 0)
+        clip = extract_clip(ds.frames(ds.unlabeled[0]), 0, 2, 4)
         y, _, _ = tr.fused_pseudo_label(state.teacher, clip, [clip])
         assert y == 0
 
@@ -203,6 +203,43 @@ class TestTrainStep:
                 if it.selection is not None:
                     assert it.selection.used_fallback == \
                         (it.selection.anchor_reliability <= cfg.epsilon)
+
+
+class TestAclPlan:
+    def test_missing_prototype_gets_select_fallback(self, monkeypatch):
+        # every item goes through acl.select; one whose pseudo-class has no
+        # prototype gets select's fallback: {f^p} vs the whole bank, gamma 0
+        cfg, ds = small()
+        state = tr.TrainerState(cfg, ds)
+        rng = np.random.default_rng(0)
+        for s in range(2):
+            tr.train_step(state, ds.labeled[:2], ds.unlabeled[3*s:3*s+3], 0,
+                          rng)
+        state.protos.initialized[:] = False
+        returned = []
+        real_select = tr.acl_mod.select
+
+        def recording_select(*args):
+            returned.append(real_select(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(tr.acl_mod, "select", recording_select)
+        # both labeled videos are of class 0: the only class with a prototype
+        plan = tr.prepare_step_plan(state, ds.labeled[:2], ds.unlabeled, rng)
+        assert state.protos.initialized.tolist() == [True, False, False, False]
+        missing = [it for it in plan.unlabeled if it.pseudo_label != 0]
+        assert missing and len(state.bank) > 0
+        for it in plan.unlabeled:
+            assert any(it.selection is sel for sel in returned)
+        for it in missing:
+            sel = it.selection
+            assert sel.used_fallback
+            assert it.gamma == sel.anchor_reliability == 0.0
+            assert len(sel.positives) == 1
+            np.testing.assert_array_equal(sel.positives[0], it.f_p)
+            assert len(sel.negatives) == len(state.bank)
+            for a, (b, _, _) in zip(sel.negatives, state.bank.entries):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestMtlCenters:
