@@ -2,7 +2,10 @@
 
 Only the operations the training losses actually need are provided. A tensor
 without ``requires_grad`` is a plain constant: no graph is recorded through
-it, so teacher-side computations cost nothing at backward time.
+it, so teacher-side computations cost nothing at backward time. On the
+forward side an op whose inputs are all constants returns a bare result: it
+records no parents or backward closure on the tape, and work that only the
+backward pass needs (such as softplus's sigmoid) is left to the closure.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ class Tensor:
 
     def _accum(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
+            self.grad = np.zeros(self.data.shape)
         self.grad += g
 
     def zero_grad(self):
@@ -49,21 +52,23 @@ class Tensor:
     def backward(self):
         if self.data.shape != ():
             raise NotScalar(f"backward requires a scalar, got shape {self.data.shape}")
+        # tensors hash by identity, so the visited set holds the nodes
         topo = []
         visited = set()
         stack = [(self, False)]
+        push, pop, visit = stack.append, stack.pop, visited.add
         while stack:
-            node, processed = stack.pop()
+            node, processed = pop()
             if processed:
                 topo.append(node)
                 continue
-            if id(node) in visited:
+            if node in visited:
                 continue
-            visited.add(id(node))
-            stack.append((node, True))
+            visit(node)
+            push((node, True))
             for p in node._parents:
-                if p.requires_grad and id(p) not in visited:
-                    stack.append((p, False))
+                if p.requires_grad and p not in visited:
+                    push((p, False))
         self._accum(np.ones(()))
         for node in reversed(topo):
             if node._backward_fn is not None:
@@ -83,36 +88,39 @@ def parameter(data):
 
 def _node(data, parents, backward_fn):
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = parents
+            out._backward_fn = backward_fn
+            break
     return out
 
 
 def add(a, b):
     """Elementwise sum; a 1-D bias may be broadcast over the rows of a 2-D tensor."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.shape == b.shape:
+    sa, sb = a.data.shape, b.data.shape
+    if sa == sb:
         def bwd(g):
             if a.requires_grad:
                 a._accum(g)
             if b.requires_grad:
                 b._accum(g)
-    elif a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
+    elif len(sa) == 2 and len(sb) == 1 and sa[1] == sb[0]:
         def bwd(g):
             if a.requires_grad:
                 a._accum(g)
             if b.requires_grad:
                 b._accum(g.sum(axis=0))
     else:
-        raise ShapeMismatch(f"add: {a.shape} vs {b.shape}")
+        raise ShapeMismatch(f"add: {sa} vs {sb}")
     return _node(a.data + b.data, (a, b), bwd)
 
 
 def sub(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:
+    if a.data.shape != b.data.shape:
         raise ShapeMismatch(f"sub: {a.shape} vs {b.shape}")
 
     def bwd(g):
@@ -137,12 +145,13 @@ def scale(a, c):
 def matmul(a, b):
     """2-D @ 2-D or 2-D @ 1-D product."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim not in (1, 2):
-        raise ShapeMismatch(f"matmul: ndim {a.data.ndim} @ {b.data.ndim}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"matmul: inner dims {a.shape} @ {b.shape}")
+    sa, sb = a.data.shape, b.data.shape
+    if len(sa) != 2 or len(sb) not in (1, 2):
+        raise ShapeMismatch(f"matmul: ndim {len(sa)} @ {len(sb)}")
+    if sa[1] != sb[0]:
+        raise ShapeMismatch(f"matmul: inner dims {sa} @ {sb}")
 
-    if b.data.ndim == 2:
+    if len(sb) == 2:
         def bwd(g):
             if a.requires_grad:
                 a._accum(g @ b.data.T)
@@ -160,7 +169,7 @@ def matmul(a, b):
 
 def dot(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 1 or a.shape != b.shape:
+    if a.data.ndim != 1 or a.data.shape != b.data.shape:
         raise ShapeMismatch(f"dot: {a.shape} vs {b.shape}")
 
     def bwd(g):
@@ -186,10 +195,9 @@ def softplus(a):
     """Elementwise log(1 + exp(x)), computed stably for large |x|."""
     a = as_tensor(a)
     y = np.logaddexp(0.0, a.data)
-    sig = 1.0 / (1.0 + np.exp(-a.data))
 
     def bwd(g):
-        a._accum(g * sig)
+        a._accum(g * (1.0 / (1.0 + np.exp(-a.data))))
 
     return _node(y, (a,), bwd)
 
@@ -227,12 +235,14 @@ def mean_rows(a):
     a = as_tensor(a)
     if a.data.ndim != 2:
         raise ShapeMismatch(f"mean_rows expects 2-D, got {a.shape}")
-    t = a.shape[0]
+    t = a.data.shape[0]
 
     def bwd(g):
-        a._accum(np.broadcast_to(g / t, a.data.shape).copy())
+        # += in _accum broadcasts the row gradient over the t rows
+        a._accum(g / t)
 
-    return _node(a.data.mean(axis=0), (a,), bwd)
+    # np.mean's own sum and division, without its Python wrapper
+    return _node(np.add.reduce(a.data, axis=0) / t, (a,), bwd)
 
 
 def l2_normalize(v):
@@ -274,7 +284,7 @@ def cross_entropy(x, target):
     x = as_tensor(x)
     if x.data.ndim != 1:
         raise ShapeMismatch(f"cross_entropy expects 1-D, got {x.shape}")
-    k = x.shape[0]
+    k = x.data.shape[0]
     if not (isinstance(target, (int, np.integer)) and 0 <= target < k):
         raise IndexOutOfRange(f"class index {target} for {k} classes")
 
@@ -289,7 +299,7 @@ def cross_entropy(x, target):
 def rowwise_cosine(q, k):
     """Per-row cosine similarity of two T x D tensors, returning a T-vector."""
     q, k = as_tensor(q), as_tensor(k)
-    if q.data.ndim != 2 or q.shape != k.shape:
+    if q.data.ndim != 2 or q.data.shape != k.data.shape:
         raise ShapeMismatch(f"rowwise_cosine: {q.shape} vs {k.shape}")
     nq = np.linalg.norm(q.data, axis=1)
     nk = np.linalg.norm(k.data, axis=1)
@@ -311,7 +321,8 @@ def rowwise_cosine(q, k):
 def scale_rows(a, w):
     """Multiply row t of a 2-D tensor by scalar weight w[t]."""
     a, w = as_tensor(a), as_tensor(w)
-    if a.data.ndim != 2 or w.data.ndim != 1 or a.shape[0] != w.shape[0]:
+    if (a.data.ndim != 2 or w.data.ndim != 1
+            or a.data.shape[0] != w.data.shape[0]):
         raise ShapeMismatch(f"scale_rows: {a.shape} vs {w.shape}")
 
     def bwd(g):

@@ -61,6 +61,12 @@ class ParamSet:
     def __init__(self, dims: ModelDims, params: dict):
         self.dims = dims
         self.params = params
+        # encode's two constants, shared by all its calls with these
+        # parameters: the uniform T x T mixing part and the T x d_h softplus
+        # shift; neither requires grad, so backward never writes to them
+        t = dims.clip_len
+        self.unif = ad.Tensor(np.full((t, t), 1.0 / t))
+        self.shift = ad.Tensor(np.full((t, dims.d_h), np.log(2.0)))
 
     @classmethod
     def init(cls, dims: ModelDims, rng: np.random.Generator, trainable: bool):
@@ -108,9 +114,8 @@ def encode(params: ParamSet, clip: Clip) -> EncodedClip:
     # uniform average plus a zero-mean free part. Constant-in-time input
     # therefore passes through unchanged (identical token rows), while the
     # zero-mean part can realize signed difference filters that pick up
-    # within-clip variation.
-    t = dims.clip_len
-    unif = ad.Tensor(np.full((t, t), 1.0 / t))
+    # within-clip variation. The uniform part is a constant of the ParamSet.
+    unif = params.unif
     m = params.params["enc.M"]
     mix = ad.add(ad.sub(m, ad.matmul(m, unif)), unif)
     # Shifted softplus (convex, zero at zero) after mixing: for a clip whose
@@ -119,10 +124,8 @@ def encode(params: ParamSet, clip: Clip) -> EncodedClip:
     # feature (Jensen's gap), so temporal variation survives the temporal
     # mean-pool. The -log(2) shift keeps activations roughly centered, so
     # normalized embeddings of different clips do not all collapse toward one
-    # orthant direction.
-    pre = ad.matmul(mix, h)
-    tokens = ad.sub(ad.softplus(pre), ad.Tensor(np.full(pre.data.shape,
-                                                        np.log(2.0))))
+    # orthant direction. The shift is a constant of the ParamSet too.
+    tokens = ad.sub(ad.softplus(ad.matmul(mix, h)), params.shift)
     return EncodedClip(tokens=tokens, pooled=ad.mean_rows(tokens))
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import statistics
 import sys
@@ -85,14 +86,14 @@ POSITIVE_OPTIONS = ("epochs", "b_l", "b_u", "clip_len", "bank_capacity",
                     "d_h", "d_e", "d_k", "checkpoint_every")
 
 # train options with a range: (names, test, wording of the range); every
-# entry of a list option must pass the test
+# entry of a list option must pass the test, and a NaN fails every test
 TRAIN_RANGES = (
     (POSITIVE_OPTIONS + ("strides",), lambda v: v >= 1, "at least 1"),
     (("tau", "tau_s", "tau_t"), lambda v: v > 0, "above 0"),
     (("delta", "epsilon", "beta", "momentum", "ema_momentum"),
      lambda v: 0 <= v <= 1, "in [0, 1]"),
     (("lr", "weight_decay", "mu1", "mu2", "lr_drop_epochs"),
-     lambda v: v >= 0, "at least 0"),
+     lambda v: 0 <= v < math.inf, "finite and at least 0"),
 )
 
 
@@ -153,9 +154,9 @@ def _check_dataset(ds_cfg: DatasetConfig, cfg: TrainConfig) -> None:
         if getattr(ds_cfg, k) < least:
             raise ConfigError(f"dataset option {k} must be at least {least}, "
                               f"got {getattr(ds_cfg, k)}")
-    if ds_cfg.noise < 0:
-        raise ConfigError(f"dataset option noise must be at least 0, "
-                          f"got {ds_cfg.noise}")
+    if not 0 <= ds_cfg.noise < math.inf:
+        raise ConfigError(f"dataset option noise must be finite and at least "
+                          f"0, got {ds_cfg.noise}")
     need = (cfg.clip_len - 1) * max(cfg.strides) + 1
     if ds_cfg.video_len < need:
         raise ConfigError(f"dataset option video_len must be at least {need} "
@@ -175,12 +176,22 @@ def _check_seeds(seeds) -> None:
             raise ConfigError(f"seeds: expected non-negative ints, got {s!r}")
 
 
+def _out_dir(args, spec: dict) -> str:
+    """The output directory: --out, else the spec's out_dir, which must be a
+    string wherever it is given."""
+    spec_out = spec.get("out_dir")
+    if spec_out is not None and not isinstance(spec_out, str):
+        raise ConfigError(f"out_dir must be a string, got {spec_out!r}")
+    out = args.out or spec_out
+    if not out:
+        raise ConfigError("no output directory (set out_dir or pass --out)")
+    return out
+
+
 def cmd_train(args) -> int:
     spec = load_spec(args.config)
     cfg, ds_cfg, seeds = build_configs(spec, args.seed)
-    out = args.out or spec.get("out_dir")
-    if not out:
-        raise ConfigError("no output directory (set out_dir or pass --out)")
+    out = _out_dir(args, spec)
     cfg = replace(cfg, seed=seeds[0])
     ds_cfg.seed = seeds[0] if "seed" not in spec.get("dataset", {}) else ds_cfg.seed
     summary = run_training(cfg, ds_cfg, out)
@@ -191,9 +202,7 @@ def cmd_train(args) -> int:
 def cmd_ablate(args) -> int:
     spec = load_spec(args.config)
     cfg, ds_cfg, seeds = build_configs(spec, args.seed)
-    out = args.out or spec.get("out_dir")
-    if not out:
-        raise ConfigError("no output directory (set out_dir or pass --out)")
+    out = _out_dir(args, spec)
     os.makedirs(out, exist_ok=True)
 
     names, run_cfgs, run_outs = [], [], []
@@ -255,9 +264,7 @@ def cmd_verify(args) -> int:
 def cmd_gen_data(args) -> int:
     spec = load_spec(args.config)
     _, ds_cfg, seeds = build_configs(spec, args.seed)
-    out = args.out or spec.get("out_dir")
-    if not out:
-        raise ConfigError("no output directory (set out_dir or pass --out)")
+    out = _out_dir(args, spec)
     os.makedirs(out, exist_ok=True)
     ds_cfg.seed = seeds[0]
     ds = SynthDataset(ds_cfg)

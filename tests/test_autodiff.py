@@ -265,3 +265,73 @@ class TestGradcheckParams:
         assert errs[1] > 1e-4
         np.testing.assert_array_equal(w.data, w0)
         np.testing.assert_array_equal(b.data, b0)
+
+
+rows_by_cols = hnp.arrays(
+    np.float64, st.tuples(st.integers(1, 12), st.integers(1, 70)),
+    elements=st.floats(-500.0, 500.0))
+
+
+class TestBitIdentity:
+    """The tape's forward and backward arithmetic, pinned to the plain numpy
+    expressions it must reproduce bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=rows_by_cols)
+    def test_mean_rows_is_numpy_mean(self, x):
+        assert np.array_equal(ad.mean_rows(x).data, x.mean(axis=0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=rows_by_cols)
+    def test_softplus_gradient_is_the_sigmoid(self, x):
+        g = np.cos(x)   # any upstream gradient
+        p = ad.parameter(x)
+        ad.softplus(p)._backward_fn(g)
+        assert np.array_equal(p.grad, g * (1 / (1 + np.exp(-x))))
+
+
+def _vec(n=3, seed=0):
+    return np.random.default_rng(seed).uniform(0.5, 1.5, size=n)
+
+
+def _mat(r=4, c=3, seed=1):
+    return np.random.default_rng(seed).uniform(0.5, 1.5, size=(r, c))
+
+
+# every op of the tape, as (name, op, input arrays)
+OPS = [
+    ("add", ad.add, (_vec(), _vec(seed=2))),
+    ("add-bias", ad.add, (_mat(), _vec())),
+    ("sub", ad.sub, (_vec(), _vec(seed=2))),
+    ("scale", lambda a: ad.scale(a, 0.5), (_vec(),)),
+    ("matmul-2d", ad.matmul, (_mat(), _mat(3, 2))),
+    ("matmul-1d", ad.matmul, (_mat(), _vec())),
+    ("dot", ad.dot, (_vec(), _vec(seed=2))),
+    ("tanh", ad.tanh, (_vec(),)),
+    ("softplus", ad.softplus, (_vec(),)),
+    ("exp", ad.exp, (_vec(),)),
+    ("log", ad.log, (_vec(),)),
+    ("tsum", ad.tsum, (_vec(),)),
+    ("mean_rows", ad.mean_rows, (_mat(),)),
+    ("l2_normalize", ad.l2_normalize, (_vec(),)),
+    ("softmax_temp", lambda a: ad.softmax_temp(a, 0.5), (_vec(),)),
+    ("cross_entropy", lambda a: ad.cross_entropy(a, 1), (_vec(),)),
+    ("rowwise_cosine", ad.rowwise_cosine, (_mat(), _mat(seed=2))),
+    ("scale_rows", ad.scale_rows, (_mat(), _vec(4))),
+]
+
+
+class TestConstantsRecordNothing:
+    @pytest.mark.parametrize("name,op,arrays", OPS, ids=[o[0] for o in OPS])
+    def test_all_constant_inputs_give_a_bare_result(self, name, op, arrays):
+        out = op(*[ad.Tensor(a) for a in arrays])
+        assert out.requires_grad is False
+        assert out._parents == ()
+        assert out._backward_fn is None
+        # while one parameter among the inputs puts the op on the tape
+        for k in range(len(arrays)):
+            args = [ad.parameter(a) if i == k else ad.Tensor(a)
+                    for i, a in enumerate(arrays)]
+            out = op(*args)
+            assert out.requires_grad is True
+            assert args[k] in out._parents

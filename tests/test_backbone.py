@@ -60,6 +60,47 @@ class TestEncode:
         assert np.array_equal(e1.tokens.data, e2.tokens.data)
 
 
+def reference_encode(params, frames):
+    """encode's arithmetic in plain numpy, operation for operation."""
+    p = {k: v.data for k, v in params.params.items()}
+    t = params.dims.clip_len
+    h = np.tanh(frames @ p["enc.W1"] + p["enc.b1"])
+    unif = np.full((t, t), 1.0 / t)
+    mix = (p["enc.M"] - p["enc.M"] @ unif) + unif
+    pre = mix @ h
+    tokens = np.logaddexp(0.0, pre) - np.full(pre.shape, np.log(2.0))
+    return tokens, tokens.mean(axis=0)
+
+
+class TestEncodeBitIdentity:
+    @pytest.mark.parametrize("dims", [DIMS, bb.ModelDims()],
+                             ids=["small", "default"])
+    @pytest.mark.parametrize("role", ["student", "teacher"])
+    def test_matches_reference_encode(self, dims, role):
+        student = bb.ParamSet.init(dims, np.random.default_rng(3), True)
+        params = student if role == "student" else student.copy_as_teacher()
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            frames = rng.normal(size=(dims.clip_len, dims.d_in))
+            enc = bb.encode(params, make_clip(frames))
+            tokens, pooled = reference_encode(params, frames)
+            assert np.array_equal(enc.tokens.data, tokens)
+            assert np.array_equal(enc.pooled.data, pooled)
+
+    def test_shared_constants_survive_student_backward(self):
+        s = make_params(0)
+        clip = make_clip(np.random.default_rng(0).normal(size=(4, 4)))
+        for _ in range(2):
+            s.zero_grad()
+            ad.cross_entropy(bb.classify(s, bb.encode(s, clip)), 0).backward()
+            assert s.params["enc.M"].grad is not None
+            for const, want in ((s.unif, np.full((4, 4), 0.25)),
+                                (s.shift, np.full((4, 6), np.log(2.0)))):
+                assert const.grad is None
+                assert not const.requires_grad
+                assert np.array_equal(const.data, want)
+
+
 class TestHeads:
     def test_classify_uniform_on_zero(self):
         params = make_params()

@@ -75,6 +75,12 @@ INVALID_OPTIONS = [
     ("train", "mu2", -0.5),
     ("train", "lr_drop_epochs", [-3]),
     ("trian", None, {"epochs": 1}),
+    ("dataset", "noise", float("nan")),
+    ("dataset", "noise", float("inf")),
+    ("train", "lr", float("inf")),
+    ("train", "weight_decay", float("inf")),
+    ("train", "mu1", float("inf")),
+    ("train", "mu2", float("inf")),
 ]
 
 
@@ -141,6 +147,17 @@ class TestConfigErrors:
         assert rc == 2
         assert "strides needs at least 2 entries" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("out_flag", [[], ["--out", "o"]],
+                             ids=["no-out", "out"])
+    @pytest.mark.parametrize("command", ["train", "ablate", "gen-data"])
+    def test_non_string_out_dir_exits_2(self, tmp_path, monkeypatch, capsys,
+                                        command, out_flag):
+        spec_path = write_spec(tmp_path, {**TINY, "out_dir": 5})
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([command, "--config", spec_path, *out_flag]) == 2
+        assert "out_dir must be a string" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
     def test_negative_seed_override_exits_2(self, tmp_path):
         out = tmp_path / "o"
