@@ -2,7 +2,7 @@
 confidence gate, reliability-weighted unsupervised loss, contrastive and
 multi-scale alignment terms, and the per-epoch metrics the full runs log.
 
-Uses a reduced configuration so it finishes in about a minute; the full
+Uses a reduced configuration so it finishes in a few seconds; the full
 default configuration is what `seqssl train` and the acceptance ablation run.
 """
 

@@ -39,12 +39,14 @@ ABLATION_CONFIGS = (
 def load_spec(path: str) -> dict:
     if path is None:
         raise ConfigError("--config is required")
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     try:
         with open(path) as f:
             spec = json.load(f)
-    except json.JSONDecodeError as e:
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}")
+    except OSError as e:
+        raise ConfigError(f"config file is unreadable: {e}")
+    except ValueError as e:  # bad JSON, or bytes that are not UTF-8
         raise ConfigError(f"config is not valid JSON: {e}")
     if not isinstance(spec, dict):
         raise ConfigError("config root must be a JSON object")
@@ -59,7 +61,7 @@ def _check_options(section: str, values: dict, defaults) -> None:
     """Each key must name an option, and each value must have the type of
     that option's default: ints for int options (not bools), ints or floats
     for float options, bools for bool options and lists of ints for tuple
-    options."""
+    options. Then the value must pass the option's RANGES entries."""
     for k, v in values.items():
         if k not in defaults.__dict__:
             raise ConfigError(f"unknown {section} option: {k}")
@@ -76,25 +78,38 @@ def _check_options(section: str, values: dict, defaults) -> None:
             expected = "list of ints" if want is tuple else want.__name__
             raise ConfigError(f"{section} option {k}: expected {expected}, "
                               f"got {v!r}")
+        for names, test, wording in RANGES[section]:
+            # written as "not test" so that a NaN fails too
+            if k in names and not all(test(x) for x in
+                                      (v if isinstance(v, list) else [v])):
+                raise ConfigError(f"{section} option {k} must be {wording}, "
+                                  f"got {v}")
 
 
 # the keys a spec may hold at its top level
 SPEC_KEYS = ("train", "dataset", "seeds", "out_dir")
 
-# int train options that count something: each must be at least 1
-POSITIVE_OPTIONS = ("epochs", "b_l", "b_u", "clip_len", "bank_capacity",
-                    "d_h", "d_e", "d_k", "checkpoint_every")
-
-# train options with a range: (names, test, wording of the range); every
-# entry of a list option must pass the test, and a NaN fails every test
-TRAIN_RANGES = (
-    (POSITIVE_OPTIONS + ("strides",), lambda v: v >= 1, "at least 1"),
-    (("tau", "tau_s", "tau_t"), lambda v: v > 0, "above 0"),
-    (("delta", "epsilon", "beta", "momentum", "ema_momentum"),
-     lambda v: 0 <= v <= 1, "in [0, 1]"),
-    (("lr", "weight_decay", "mu1", "mu2", "lr_drop_epochs"),
-     lambda v: 0 <= v < math.inf, "finite and at least 0"),
-)
+# per section, the options with a range: (names, test, wording of the range);
+# every entry of a list option must pass the test, and a NaN fails every test
+RANGES = {
+    "train": (
+        (("epochs", "b_l", "b_u", "clip_len", "bank_capacity", "d_h", "d_e",
+          "d_k", "checkpoint_every", "strides"), lambda v: v >= 1,
+         "at least 1"),
+        (("tau", "tau_s", "tau_t"), lambda v: v > 0, "above 0"),
+        (("delta", "epsilon", "beta", "momentum", "ema_momentum"),
+         lambda v: 0 <= v <= 1, "in [0, 1]"),
+        (("lr", "weight_decay", "mu1", "mu2", "lr_drop_epochs"),
+         lambda v: 0 <= v < math.inf, "finite and at least 0"),
+    ),
+    "dataset": (
+        (("n_classes",), lambda v: v >= 2, "at least 2"),
+        (("n_classes",), lambda v: v % 2 == 0, "even (classes are paired)"),
+        (("per_class", "d_in"), lambda v: v >= 1, "at least 1"),
+        (("seed",), lambda v: v >= 0, "at least 0"),
+        (("noise",), lambda v: 0 <= v < math.inf, "finite and at least 0"),
+    ),
+}
 
 
 def _section(spec: dict, name: str) -> dict:
@@ -105,58 +120,31 @@ def _section(spec: dict, name: str) -> dict:
 
 
 def build_configs(spec: dict, seed_override=None):
+    """The (TrainConfig, DatasetConfig, seeds) of a spec, checked and ready to
+    run. The first seed trains; it seeds the dataset too, unless the dataset
+    section sets its own seed."""
     for k in spec:
         if k not in SPEC_KEYS:
             raise ConfigError(f"unknown top-level key: {k}")
     train_kw = dict(_section(spec, "train"))
+    dataset_kw = _section(spec, "dataset")
     _check_options("train", train_kw, TrainConfig())
-    _check_options("dataset", _section(spec, "dataset"), DatasetConfig())
-    if "strides" in train_kw:
-        train_kw["strides"] = tuple(train_kw["strides"])
-    if "lr_drop_epochs" in train_kw:
-        train_kw["lr_drop_epochs"] = tuple(train_kw["lr_drop_epochs"])
-    cfg = TrainConfig(**train_kw)
-    _check_train(cfg)
-    ds_cfg = DatasetConfig(**spec.get("dataset", {}))
-    _check_dataset(ds_cfg, cfg)
-    seeds = spec.get("seeds", [cfg.seed])
+    _check_options("dataset", dataset_kw, DatasetConfig())
+    seeds = spec.get("seeds", [train_kw.get("seed", TrainConfig.seed)])
     _check_seeds(seeds)
     if seed_override is not None:
         seeds = [seed_override]
         _check_seeds(seeds)
-    return cfg, ds_cfg, seeds
-
-
-def _check_train(cfg: TrainConfig) -> None:
-    """Train option ranges, and a short-term plus at least one long-term
-    stride."""
-    values = cfg.to_dict()
-    for names, ok, wording in TRAIN_RANGES:
-        for k in names:
-            v = values[k]
-            # written as "not ok" so that a NaN fails too
-            if not all(ok(x) for x in (v if isinstance(v, list) else [v])):
-                raise ConfigError(f"train option {k} must be {wording}, "
-                                  f"got {v}")
+    for k in ("strides", "lr_drop_epochs"):
+        if k in train_kw:
+            train_kw[k] = tuple(train_kw[k])
+    cfg = TrainConfig(**{**train_kw, "seed": seeds[0]})
+    ds_cfg = DatasetConfig(**{"seed": seeds[0], **dataset_kw})
+    # a short-term plus at least one long-term stride, a video long enough
+    # for the longest-stride clip, and unlabeled videos in every class
     if len(cfg.strides) < 2:
         raise ConfigError(f"train option strides needs at least 2 entries, "
                           f"got {list(cfg.strides)}")
-
-
-# int dataset options and the least value each may take
-DATASET_MINIMA = (("n_classes", 2), ("per_class", 1), ("d_in", 1), ("seed", 0))
-
-
-def _check_dataset(ds_cfg: DatasetConfig, cfg: TrainConfig) -> None:
-    """Dataset ranges, a video long enough for the longest-stride clip, and
-    a split with labeled and unlabeled videos in every class."""
-    for k, least in DATASET_MINIMA:
-        if getattr(ds_cfg, k) < least:
-            raise ConfigError(f"dataset option {k} must be at least {least}, "
-                              f"got {getattr(ds_cfg, k)}")
-    if not 0 <= ds_cfg.noise < math.inf:
-        raise ConfigError(f"dataset option noise must be finite and at least "
-                          f"0, got {ds_cfg.noise}")
     need = (cfg.clip_len - 1) * max(cfg.strides) + 1
     if ds_cfg.video_len < need:
         raise ConfigError(f"dataset option video_len must be at least {need} "
@@ -166,6 +154,7 @@ def _check_dataset(ds_cfg: DatasetConfig, cfg: TrainConfig) -> None:
         raise ConfigError(f"labeled_fraction {ds_cfg.labeled_fraction} of "
                           f"per_class {ds_cfg.per_class} leaves no unlabeled "
                           f"video")
+    return cfg, ds_cfg, seeds
 
 
 def _check_seeds(seeds) -> None:
@@ -190,11 +179,8 @@ def _out_dir(args, spec: dict) -> str:
 
 def cmd_train(args) -> int:
     spec = load_spec(args.config)
-    cfg, ds_cfg, seeds = build_configs(spec, args.seed)
-    out = _out_dir(args, spec)
-    cfg = replace(cfg, seed=seeds[0])
-    ds_cfg.seed = seeds[0] if "seed" not in spec.get("dataset", {}) else ds_cfg.seed
-    summary = run_training(cfg, ds_cfg, out)
+    cfg, ds_cfg, _ = build_configs(spec, args.seed)
+    summary = run_training(cfg, ds_cfg, _out_dir(args, spec))
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
@@ -263,10 +249,9 @@ def cmd_verify(args) -> int:
 
 def cmd_gen_data(args) -> int:
     spec = load_spec(args.config)
-    _, ds_cfg, seeds = build_configs(spec, args.seed)
+    _, ds_cfg, _ = build_configs(spec, args.seed)
     out = _out_dir(args, spec)
     os.makedirs(out, exist_ok=True)
-    ds_cfg.seed = seeds[0]
     ds = SynthDataset(ds_cfg)
     write_atomic(os.path.join(out, "manifest.json"),
                  lambda f: json.dump(ds.manifest(), f, indent=2))

@@ -1,11 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from seqssl import cli
 from seqssl import trainer as tr
-from seqssl.synthgen import SynthDataset
+from seqssl.synthgen import DatasetConfig, SynthDataset
 
 
 TINY = {
@@ -15,6 +16,11 @@ TINY = {
                 "d_in": 4, "video_len": 40, "noise": 0.05, "seed": 0},
     "seeds": [0],
 }
+
+
+# TINY without a dataset seed: the first seed seeds the dataset
+TINY_NO_DATASET_SEED = {**TINY, "dataset": {
+    k: v for k, v in TINY["dataset"].items() if k != "seed"}}
 
 
 # (section, key, value): each makes TINY an invalid config; a key of None
@@ -97,6 +103,19 @@ class TestConfigErrors:
         assert rc == 2
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, kind):
+        path = tmp_path / "spec.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe" + json.dumps(TINY).encode())
+        out = tmp_path / "o"
+        rc = cli.main(["train", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
     def test_no_config_flag(self):
         assert cli.main(["train", "--out", "/tmp/x"]) == 2
 
@@ -139,6 +158,17 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("command", ["train", "ablate", "gen-data"])
+    def test_odd_n_classes_exits_2_before_writing(self, tmp_path, capsys,
+                                                  command):
+        spec = {**TINY, "dataset": {**TINY["dataset"], "n_classes": 5}}
+        out = tmp_path / "o"
+        rc = cli.main([command, "--config", write_spec(tmp_path, spec),
+                       "--out", str(out)])
+        assert rc == 2
+        assert "n_classes must be even" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_single_stride_exits_2(self, tmp_path, capsys):
         spec = {**TINY, "train": {**TINY["train"], "strides": [2]}}
         out = tmp_path / "o"
@@ -165,6 +195,48 @@ class TestConfigErrors:
                        "--out", str(out), "--seed", "-1"])
         assert rc == 2
         assert not out.exists()
+
+
+class TestResolution:
+    @pytest.mark.parametrize("section,cls", [("train", tr.TrainConfig),
+                                             ("dataset", DatasetConfig)])
+    def test_ranges_name_fields_and_defaults_pass(self, section, cls):
+        # the table is read only for the keys a spec gives, so a misspelt
+        # name would silently drop its check
+        defaults = cls().__dict__
+        for names, test, _ in cli.RANGES[section]:
+            for k in names:
+                assert k in defaults, k
+                v = defaults[k]
+                assert all(test(x) for x in
+                           (v if isinstance(v, tuple) else [v])), k
+
+    def test_first_seed_trains_and_seeds_the_dataset(self):
+        spec = {**TINY_NO_DATASET_SEED, "seeds": [3, 4]}
+        cfg, ds_cfg, seeds = cli.build_configs(spec)
+        assert (cfg.seed, ds_cfg.seed, seeds) == (3, 3, [3, 4])
+        cfg, ds_cfg, seeds = cli.build_configs(spec, seed_override=7)
+        assert (cfg.seed, ds_cfg.seed, seeds) == (7, 7, [7])
+
+    def test_dataset_section_seed_wins(self):
+        spec = {**TINY, "dataset": {**TINY["dataset"], "seed": 5},
+                "seeds": [3]}
+        cfg, ds_cfg, _ = cli.build_configs(spec, seed_override=7)
+        assert (cfg.seed, ds_cfg.seed) == (7, 5)
+
+    def test_train_seed_is_the_default_seed_list(self):
+        spec = {k: v for k, v in TINY.items() if k != "seeds"}
+        spec["train"] = {**TINY["train"], "seed": 2}
+        cfg, _, seeds = cli.build_configs(spec)
+        assert (cfg.seed, seeds) == (2, [2])
+
+    @pytest.mark.parametrize("section,cls", [("train", tr.TrainConfig),
+                                             ("dataset", DatasetConfig)])
+    def test_nan_fails_every_float_range(self, section, cls):
+        defaults = cls().__dict__
+        for names, test, _ in cli.RANGES[section]:
+            if any(isinstance(defaults[k], float) for k in names):
+                assert not test(math.nan), names
 
 
 class TestScales:
@@ -247,6 +319,15 @@ class TestGenData:
         assert (out1 / "manifest.json").read_bytes() == \
             (out2 / "manifest.json").read_bytes()
 
+    def test_manifest_uses_the_dataset_section_seed(self, tmp_path):
+        spec = {**TINY, "dataset": {**TINY["dataset"], "seed": 5},
+                "seeds": [0]}
+        out = tmp_path / "data"
+        assert cli.main(["gen-data", "--config", write_spec(tmp_path, spec),
+                         "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["seed"] == 5
+
 
 class TestAblate:
     def test_tiny_grid_counts_and_summary(self, tmp_path):
@@ -267,6 +348,18 @@ class TestAblate:
         assert set(summary["ordering"]) == {"both_ge_singles",
                                             "singles_ge_baseline",
                                             "both_minus_baseline"}
+
+    def test_cell_trains_on_the_data_train_uses(self, tmp_path):
+        spec_path = write_spec(tmp_path, {**TINY_NO_DATASET_SEED,
+                                          "seeds": [3]})
+        grid, run = tmp_path / "grid", tmp_path / "run"
+        assert cli.main(["ablate", "--config", spec_path,
+                         "--out", str(grid)]) == 0
+        assert cli.main(["train", "--config", spec_path,
+                         "--out", str(run)]) == 0
+        for name in ("metrics.csv", "manifest.json"):
+            assert (grid / "both" / "seed_3" / name).read_bytes() == \
+                (run / name).read_bytes()
 
 
 class TestVerify:
