@@ -5,7 +5,7 @@ contrastive loss."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -17,17 +17,24 @@ from .protobank import MemoryBank
 @dataclass
 class AclSelection:
     anchor: object                     # Tensor (student side) or array
-    positives: List[np.ndarray]        # kept bank records, then f^p last
-    negatives: List[np.ndarray]
+    positives: np.ndarray              # (k+1, d_e): kept records, f^p last
+    negatives: np.ndarray              # (m, d_e): the other bank records
     anchor_reliability: float
     used_fallback: bool
 
 
+def _append_row(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A new array of ``rows`` followed by the row ``v``. The rows of a bank
+    never pushed to are (0, 0), so they take ``v``'s width first."""
+    return np.concatenate((rows.reshape(len(rows), v.size), v[None]))
+
+
 def build_candidates(bank: MemoryBank, pseudo_label: int,
-                     f_score: np.ndarray) -> list:
-    """Initial positive set, as scoring vectors: the same-pseudo-class bank
-    records plus the anchor's own (last)."""
-    return bank.candidates_of(pseudo_label) + [np.asarray(f_score, dtype=np.float64)]
+                     f_score: np.ndarray) -> np.ndarray:
+    """Initial positive set as one (k+1, d_h) array of scoring vectors: the
+    same-pseudo-class bank records, then the anchor's own (last)."""
+    return _append_row(bank.candidates_of(pseudo_label),
+                       np.asarray(f_score, dtype=np.float64))
 
 
 def score_candidates(sets: list) -> list:
@@ -42,7 +49,7 @@ def score_candidates(sets: list) -> list:
     for candidates, prototype in sets:
         if prototype is None:
             raise PrototypeMissing("no prototype for the candidate class")
-        stacked = np.stack([np.asarray(c, dtype=np.float64) for c in candidates])
+        stacked = np.asarray(candidates, dtype=np.float64)
         norms = np.linalg.norm(stacked, axis=1) * np.linalg.norm(prototype)
         dists.append(stacked @ prototype / norms)
     fitted = [i for i, d in enumerate(dists)
@@ -60,40 +67,39 @@ def select(bank: MemoryBank, pseudo_label: int, anchor, f_p: np.ndarray,
     when ``scores`` is None because the pseudo-class has no prototype yet.
 
     ``scores`` must be aligned with build_candidates order (the class's bank
-    records in insertion order, then the anchor's own score last).
+    records in insertion order, then the anchor's own score last). The
+    selection's arrays are copies, so later pushes leave them as they are.
     """
     f_p = np.asarray(f_p, dtype=np.float64)
+    emb = bank.embeddings
     gamma_fp = 0.0 if scores is None else float(scores[-1])
     if scores is None or gamma_fp <= epsilon:
         return AclSelection(
-            anchor=anchor, positives=[f_p],
-            negatives=bank.all_embeddings(), anchor_reliability=gamma_fp,
-            used_fallback=True)
+            anchor=anchor, positives=f_p[None].copy(), negatives=emb.copy(),
+            anchor_reliability=gamma_fp, used_fallback=True)
 
-    positives, negatives = [], []
-    candidate_scores = iter(scores)
-    for emb, _, lab in bank.entries:
-        if lab == pseudo_label and next(candidate_scores) > epsilon:
-            positives.append(emb)
-        else:
-            negatives.append(emb)
+    labels = bank.labels
+    keep = np.zeros(len(labels), dtype=bool)
+    keep[labels == pseudo_label] = np.asarray(scores[:-1]) > epsilon
     return AclSelection(
-        anchor=anchor, positives=positives + [f_p],
-        negatives=negatives, anchor_reliability=gamma_fp, used_fallback=False)
+        anchor=anchor, positives=_append_row(emb[keep], f_p),
+        negatives=emb[~keep], anchor_reliability=gamma_fp,
+        used_fallback=False)
 
 
 def acl_loss(sel: AclSelection, tau: float) -> ad.Tensor:
     """-log of the positive exponential-sum share; differentiable in the anchor.
 
     Bank entries and f^p are teacher-side constants and carry no gradient.
+    Positives and negatives may be arrays of rows or lists of vectors.
     """
-    if not sel.positives:
+    if not len(sel.positives):
         raise EmptyPositives("selection has no positive samples")
     anchor = ad.as_tensor(sel.anchor)
-    pos = ad.Tensor(np.stack(sel.positives))
+    pos = ad.Tensor(np.asarray(sel.positives, dtype=np.float64))
     s_pos = ad.tsum(ad.exp(ad.scale(ad.matmul(pos, anchor), 1.0 / tau)))
-    if sel.negatives:
-        neg = ad.Tensor(np.stack(sel.negatives))
+    if len(sel.negatives):
+        neg = ad.Tensor(np.asarray(sel.negatives, dtype=np.float64))
         s_neg = ad.tsum(ad.exp(ad.scale(ad.matmul(neg, anchor), 1.0 / tau)))
         total = ad.add(s_pos, s_neg)
     else:

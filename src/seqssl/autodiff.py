@@ -342,6 +342,8 @@ def gradcheck_params(loss_fn, params, eps=1e-5):
     ``.data`` of ``params``; the result holds one worst error per scalar, in
     the same order. Each entry is perturbed in place to +eps and -eps once,
     every scalar is read from those two calls, and the entry is restored.
+    Those calls run with ``requires_grad`` off on every tensor in
+    ``params``; each tensor's flag is restored afterwards, also on error.
     Each scalar's analytic gradient comes from a fresh ``loss_fn()`` and one
     ``backward()``: the tape accumulates into intermediate nodes, so a graph
     cannot be backpropagated twice. Relative error per entry is
@@ -358,18 +360,28 @@ def gradcheck_params(loss_fn, params, eps=1e-5):
         analytic.append([p.grad.copy() if p.grad is not None
                          else np.zeros_like(p.data) for p in params])
     worst = [0.0] * len(analytic)
-    for i, p in enumerate(params):
-        for idx in np.ndindex(p.data.shape):
-            keep = p.data[idx]
-            p.data[idx] = keep + eps
-            f_plus = [t.item() for t in loss_fn()]
-            p.data[idx] = keep - eps
-            f_minus = [t.item() for t in loss_fn()]
-            p.data[idx] = keep
-            for k, grads in enumerate(analytic):
-                g = grads[i][idx]
-                numeric = (f_plus[k] - f_minus[k]) / (2.0 * eps)
-                worst[k] = max(worst[k], abs(g - numeric) / max(1.0, abs(g)))
+    # forward values do not depend on the tape, so the perturbed passes run
+    # on constants and record nothing; each flag comes back afterwards
+    flags = [p.requires_grad for p in params]
+    try:
+        for p in params:
+            p.requires_grad = False
+        for i, p in enumerate(params):
+            for idx in np.ndindex(p.data.shape):
+                keep = p.data[idx]
+                p.data[idx] = keep + eps
+                f_plus = [t.item() for t in loss_fn()]
+                p.data[idx] = keep - eps
+                f_minus = [t.item() for t in loss_fn()]
+                p.data[idx] = keep
+                for k, grads in enumerate(analytic):
+                    g = grads[i][idx]
+                    numeric = (f_plus[k] - f_minus[k]) / (2.0 * eps)
+                    worst[k] = max(worst[k],
+                                   abs(g - numeric) / max(1.0, abs(g)))
+    finally:
+        for p, flag in zip(params, flags):
+            p.requires_grad = flag
     return worst
 
 

@@ -122,7 +122,7 @@ def _section(spec: dict, name: str) -> dict:
 def build_configs(spec: dict, seed_override=None):
     """The (TrainConfig, DatasetConfig, seeds) of a spec, checked and ready to
     run. The first seed trains; it seeds the dataset too, unless the dataset
-    section sets its own seed."""
+    section sets its own seed. A train seed must equal the first seed."""
     for k in spec:
         if k not in SPEC_KEYS:
             raise ConfigError(f"unknown top-level key: {k}")
@@ -132,6 +132,9 @@ def build_configs(spec: dict, seed_override=None):
     _check_options("dataset", dataset_kw, DatasetConfig())
     seeds = spec.get("seeds", [train_kw.get("seed", TrainConfig.seed)])
     _check_seeds(seeds)
+    if train_kw.get("seed", seeds[0]) != seeds[0]:
+        raise ConfigError(f"train option seed {train_kw['seed']} disagrees "
+                          f"with the first of seeds {seeds}")
     if seed_override is not None:
         seeds = [seed_override]
         _check_seeds(seeds)

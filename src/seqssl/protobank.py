@@ -3,8 +3,6 @@ pseudo-labeled teacher embeddings."""
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from .errors import IndexOutOfRange, NotNormalized, PrototypeMissing
@@ -42,36 +40,76 @@ class PrototypeTable:
 
 
 class MemoryBank:
-    """Bounded FIFO of (f_p, f_score, pseudo_label) records.
+    """Bounded FIFO of (f_p, f_score, pseudo_label) records, held as three
+    row-aligned arrays in insertion order.
 
     ``f_p`` is the teacher's unit projection-head embedding, which the
     contrastive loss draws positives and negatives from. ``f_score`` is the
     unit pooled embedding of the same clip, which reliability scoring
     compares with the class prototype.
+
+    The buffers hold ``2 * capacity`` rows and the records are the window
+    ``[start, end)``. A push writes the row after the last one; when the
+    buffer is full, the window is first copied to the front, so a push costs
+    O(1) on average. The rows are never rotated: readers see the records in
+    insertion order, and every sum over them adds them in that order.
     """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self.entries = deque()
+        rows = 2 * capacity
+        # the first push sets the row widths
+        self._embeddings = np.empty((rows, 0))
+        self._scores = np.empty((rows, 0))
+        self._labels = np.empty(rows, dtype=np.int64)
+        self._start = self._end = 0
 
     def __len__(self):
-        return len(self.entries)
+        return self._end - self._start
 
     def push(self, embedding: np.ndarray, score: np.ndarray,
              pseudo_label: int) -> None:
         for v in (embedding, score):
             if abs(np.linalg.norm(v) - 1.0) > UNIT_TOL:
                 raise NotNormalized(f"norm {np.linalg.norm(v)}")
-        self.entries.append((np.array(embedding, dtype=np.float64),
-                             np.array(score, dtype=np.float64),
-                             int(pseudo_label)))
-        if len(self.entries) > self.capacity:
-            self.entries.popleft()
+        rows = len(self._labels)
+        if not self._embeddings.shape[1]:
+            self._embeddings = np.empty((rows, np.size(embedding)))
+            self._scores = np.empty((rows, np.size(score)))
+        if self._end == rows:
+            n = len(self)
+            for buf in (self._embeddings, self._scores, self._labels):
+                buf[:n] = buf[self._start:self._end]
+            self._start, self._end = 0, n
+        self._embeddings[self._end] = embedding
+        self._scores[self._end] = score
+        self._labels[self._end] = pseudo_label
+        self._end += 1
+        if len(self) > self.capacity:
+            self._start += 1
 
-    def candidates_of(self, class_id: int) -> list:
+    def _window(self, buf: np.ndarray) -> np.ndarray:
+        view = buf[self._start:self._end]
+        view.flags.writeable = False
+        return view
+
+    @property
+    def embeddings(self) -> np.ndarray:
+        """(n, d_e) f_p rows, oldest first; a read-only view that the next
+        push may overwrite. A bank never pushed to gives (0, 0)."""
+        return self._window(self._embeddings)
+
+    @property
+    def scores(self) -> np.ndarray:
+        """(n, d_h) f_score rows, aligned with ``embeddings``."""
+        return self._window(self._scores)
+
+    @property
+    def labels(self) -> np.ndarray:
+        """(n,) pseudo-labels, aligned with ``embeddings``."""
+        return self._window(self._labels)
+
+    def candidates_of(self, class_id: int) -> np.ndarray:
         """Scoring vectors of the records labelled ``class_id``, in
-        insertion order."""
-        return [score for _, score, lab in self.entries if lab == class_id]
-
-    def all_embeddings(self) -> list:
-        return [emb for emb, _, _ in self.entries]
+        insertion order, as a new (k, d_h) array."""
+        return self.scores[self.labels == class_id]

@@ -80,14 +80,15 @@ def test_criterion_3_acl_loss_oracle():
 # == the whole bank.
 
 def _reference_select(bank, pseudo_label, f_p, scores, epsilon):
+    entries = list(zip(bank.embeddings, bank.scores, bank.labels))
     gamma_fp = scores[-1]
     if gamma_fp <= epsilon:
-        return [f_p], [e for e, _, _ in bank.entries], True
-    cand_positions = [i for i, (_, _, lab) in enumerate(bank.entries)
+        return [f_p], [e for e, _, _ in entries], True
+    cand_positions = [i for i, (_, _, lab) in enumerate(entries)
                       if lab == pseudo_label]
     pos_idx = [i for i, s in zip(cand_positions, scores[:-1]) if s > epsilon]
-    positives = [bank.entries[i][0] for i in pos_idx] + [f_p]
-    negatives = [e for i, (e, _, _) in enumerate(bank.entries)
+    positives = [entries[i][0] for i in pos_idx] + [f_p]
+    negatives = [e for i, (e, _, _) in enumerate(entries)
                  if i not in pos_idx]
     return positives, negatives, False
 
@@ -105,7 +106,7 @@ def test_criterion_4_selection_semantics():
         label = int(rng.integers(n_classes))
         f_p = rng.normal(size=6)
         f_p /= np.linalg.norm(f_p)
-        n_cand = sum(1 for _, _, lab in bank.entries if lab == label) + 1
+        n_cand = sum(1 for lab in bank.labels if lab == label) + 1
         scores = rng.uniform(size=n_cand)
         epsilon = float(rng.uniform(0.2, 0.9))
         sel = acl_mod.select(bank, label, None, f_p, scores, epsilon)

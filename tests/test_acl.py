@@ -112,14 +112,15 @@ class TestScoreCandidates:
 
 def reference_select(bank, pseudo_label, f_p, scores, epsilon):
     """Brute-force selector, written directly from the selection rules."""
+    entries = list(zip(bank.embeddings, bank.scores, bank.labels))
     gamma_fp = scores[-1]
     if gamma_fp <= epsilon:
-        return [f_p], [e for e, _, _ in bank.entries], True
-    cand_positions = [i for i, (_, _, lab) in enumerate(bank.entries)
+        return [f_p], [e for e, _, _ in entries], True
+    cand_positions = [i for i, (_, _, lab) in enumerate(entries)
                       if lab == pseudo_label]
     pos_idx = [i for i, s in zip(cand_positions, scores[:-1]) if s > epsilon]
-    positives = [bank.entries[i][0] for i in pos_idx] + [f_p]
-    negatives = [e for i, (e, _, _) in enumerate(bank.entries)
+    positives = [entries[i][0] for i in pos_idx] + [f_p]
+    negatives = [e for i, (e, _, _) in enumerate(entries)
                  if i not in pos_idx]
     return positives, negatives, False
 
@@ -136,7 +137,7 @@ class TestSelect:
         sel = acl.select(bank, 0, None, f_p, scores, 0.7)
         assert not sel.used_fallback
         assert len(sel.positives) == 5
-        assert sel.negatives == []
+        assert len(sel.negatives) == 0
 
     def test_fallback(self):
         rng = np.random.default_rng(1)
@@ -181,7 +182,7 @@ class TestSelect:
             assert len(sel.positives) == 1
             np.testing.assert_array_equal(sel.positives[0], f_p)
             assert len(sel.negatives) == len(bank)
-            for a, (b, _, _) in zip(sel.negatives, bank.entries):
+            for a, b in zip(sel.negatives, bank.embeddings):
                 np.testing.assert_array_equal(a, b)
 
     def test_matches_brute_force_on_random_banks(self):
@@ -278,3 +279,24 @@ class TestAclLoss:
             return acl.acl_loss(sel, 0.07)
 
         assert ad.gradcheck(f, ad.Tensor(unit(rng))) < 1e-4
+
+    @pytest.mark.parametrize("n_neg", [0, 1, 37])
+    def test_list_and_array_input_agree_bit_for_bit(self, n_neg):
+        # select hands acl_loss arrays of rows; verify's oracle and the tests
+        # hand it lists of vectors. Both must give the same value and the
+        # same anchor gradient, bit for bit.
+        rng = np.random.default_rng(3 + n_neg)
+        pos = [unit(rng) for _ in range(6)]
+        neg = [unit(rng) for _ in range(n_neg)]
+        start = unit(rng)
+        out = []
+        arrays = (np.array(pos), np.array(neg).reshape(-1, 6))
+        for p, n in ((pos, neg), arrays):
+            w = ad.parameter(start)
+            sel = acl.AclSelection(anchor=w, positives=p, negatives=n,
+                                   anchor_reliability=1.0, used_fallback=False)
+            loss = acl.acl_loss(sel, 0.07)
+            loss.backward()
+            out.append((loss.item(), w.grad))
+        assert out[0][0] == out[1][0]
+        assert np.array_equal(out[0][1], out[1][1])

@@ -266,6 +266,41 @@ class TestGradcheckParams:
         np.testing.assert_array_equal(w.data, w0)
         np.testing.assert_array_equal(b.data, b0)
 
+    @staticmethod
+    def flagged_params():
+        # two parameters and a constant whose flag must stay False
+        return (ad.parameter(X_CONST[:3, :2]), ad.parameter([0.1, -0.2]),
+                ad.Tensor([0.3, 0.7]))
+
+    def test_perturbed_passes_run_on_constants(self):
+        w, b, c = params = self.flagged_params()
+        seen = []
+
+        def loss():
+            seen.append(tuple(p.requires_grad for p in params))
+            return [two_tensor_loss(w, b)]
+
+        [err] = ad.gradcheck_params(loss, list(params))
+        assert err < 1e-6
+        assert seen[0] == (True, True, False)      # the analytic pass
+        assert set(seen[1:]) == {(False, False, False)}
+        assert len(seen) == 1 + 2 * (6 + 2 + 2)
+        assert [p.requires_grad for p in params] == [True, True, False]
+
+    def test_flags_restored_when_loss_fn_raises(self):
+        w, b, c = params = self.flagged_params()
+        calls = []
+
+        def loss():
+            calls.append(None)
+            if len(calls) > 1:                     # the first perturbed pass
+                raise RuntimeError("loss failed")
+            return [two_tensor_loss(w, b)]
+
+        with pytest.raises(RuntimeError, match="loss failed"):
+            ad.gradcheck_params(loss, list(params))
+        assert [p.requires_grad for p in params] == [True, True, False]
+
 
 rows_by_cols = hnp.arrays(
     np.float64, st.tuples(st.integers(1, 12), st.integers(1, 70)),

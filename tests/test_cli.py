@@ -189,6 +189,21 @@ class TestConfigErrors:
         assert "out_dir must be a string" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
+    @pytest.mark.parametrize("train_seed", [4, -1])
+    def test_train_seed_other_than_first_seed_exits_2(self, tmp_path, capsys,
+                                                      train_seed):
+        spec = {**TINY, "train": {**TINY["train"], "seed": train_seed}}
+        out = tmp_path / "o"
+        # the spec's two seeds are compared before --seed replaces them
+        rc = cli.main(["train", "--config", write_spec(tmp_path, spec),
+                       "--out", str(out), "--seed", str(train_seed)])
+        assert rc == 2
+        assert (f"train option seed {train_seed} disagrees with the first "
+                f"of seeds [0]") in capsys.readouterr().err
+        assert not out.exists()
+        spec["train"]["seed"] = 0
+        assert cli.build_configs(spec)[0].seed == 0
+
     def test_negative_seed_override_exits_2(self, tmp_path):
         out = tmp_path / "o"
         rc = cli.main(["train", "--config", write_spec(tmp_path, TINY),

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,7 +65,7 @@ class TestMemoryBank:
         for i, v in enumerate(vecs):
             bank.push(v, v, i)
         assert len(bank) == 2
-        stored = [lab for _, _, lab in bank.entries]
+        stored = bank.labels.tolist()
         assert stored == [1, 2]
 
     def test_not_normalized(self):
@@ -99,7 +101,7 @@ class TestMemoryBank:
             v = unit(rng)
             bank.push(v, v, lab)
         assert len(bank.candidates_of(0)) == 2
-        assert bank.candidates_of(7) == []
+        assert len(bank.candidates_of(7)) == 0
 
 
 class TestMemoryBankProperties:
@@ -118,7 +120,8 @@ class TestMemoryBankProperties:
             pushed.append((emb, score, lab))
         assert len(bank) == capacity
         for (emb, score, lab), (p_emb, p_score, p_lab) in zip(
-                bank.entries, pushed[-capacity:]):
+                zip(bank.embeddings, bank.scores, bank.labels),
+                pushed[-capacity:]):
             np.testing.assert_array_equal(emb, p_emb)
             np.testing.assert_array_equal(score, p_score)
             assert lab == p_lab
@@ -135,12 +138,12 @@ class TestMemoryBankProperties:
         for lab in labels:
             bank.push(unit(rng), unit(rng), lab)
         cands = bank.candidates_of(class_id)
-        positions = [i for i, (_, _, lab) in enumerate(bank.entries)
+        positions = [i for i, lab in enumerate(bank.labels)
                      if lab == class_id]
         assert len(cands) == len(positions)
         f_p = unit(rng)
         for k, i in enumerate(positions):
-            np.testing.assert_array_equal(cands[k], bank.entries[i][1])
+            np.testing.assert_array_equal(cands[k], bank.scores[i])
             # a score above epsilon for candidate k alone makes exactly the
             # record at bank position i a positive
             scores = np.zeros(len(cands) + 1)
@@ -148,5 +151,65 @@ class TestMemoryBankProperties:
             sel = acl.select(bank, class_id, None, f_p, scores, 0.5)
             assert len(sel.positives) == 2
             np.testing.assert_array_equal(sel.positives[0],
-                                          bank.entries[i][0])
+                                          bank.embeddings[i])
             assert len(sel.negatives) == len(bank) - 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(capacity=st.integers(1, 8),
+           labels=st.lists(st.integers(0, 3), max_size=40),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_a_deque_after_every_push(self, capacity, labels, seed):
+        # up to 40 pushes into a buffer of 2 * capacity rows compact the
+        # window several times; after each push the arrays must read as a
+        # bounded deque of the same records does
+        rng = np.random.default_rng(seed)
+        bank = MemoryBank(capacity)
+        ref = deque(maxlen=capacity)
+        for lab in labels:
+            emb, score = unit(rng, 3), unit(rng, 5)
+            bank.push(emb, score, lab)
+            ref.append((emb, score, lab))
+            assert len(bank) == len(ref)
+            assert bank.embeddings.shape == (len(ref), 3)
+            assert bank.scores.shape == (len(ref), 5)
+            np.testing.assert_array_equal(bank.embeddings,
+                                          [e for e, _, _ in ref])
+            np.testing.assert_array_equal(bank.scores, [s for _, s, _ in ref])
+            assert bank.labels.tolist() == [lab for _, _, lab in ref]
+            for c in range(4):
+                want = [s for _, s, lab in ref if lab == c]
+                got = bank.candidates_of(c)
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
+                    np.testing.assert_array_equal(a, b)
+
+    def test_views_are_read_only(self):
+        bank = MemoryBank(4)
+        v = unit(np.random.default_rng(5))
+        bank.push(v, v, 0)
+        for view in (bank.embeddings, bank.scores, bank.labels):
+            with pytest.raises(ValueError):
+                view[0] = 0
+
+    def test_selection_keeps_its_values_after_pushes(self):
+        # the buffer's rows are overwritten and compacted by later pushes;
+        # a selection built before them must not see that
+        rng = np.random.default_rng(6)
+        bank = MemoryBank(3)
+        for lab in (0, 1, 0):
+            v = unit(rng)
+            bank.push(v, v, lab)
+        f_p = unit(rng)
+        chosen = acl.select(bank, 0, None, f_p, np.array([1.0, 0.0, 1.0]), 0.5)
+        fallback = acl.select(bank, 0, None, f_p, None, 0.5)
+        before = [(s.positives.copy(), s.negatives.copy())
+                  for s in (chosen, fallback)]
+        cands = acl.build_candidates(bank, 0, f_p)
+        cands_before = cands.copy()
+        for _ in range(7):
+            v = unit(rng)
+            bank.push(v, v, 0)
+        for sel, (pos, neg) in zip((chosen, fallback), before):
+            np.testing.assert_array_equal(sel.positives, pos)
+            np.testing.assert_array_equal(sel.negatives, neg)
+        np.testing.assert_array_equal(cands, cands_before)

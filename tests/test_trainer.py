@@ -238,7 +238,7 @@ class TestAclPlan:
             assert len(sel.positives) == 1
             np.testing.assert_array_equal(sel.positives[0], it.f_p)
             assert len(sel.negatives) == len(state.bank)
-            for a, (b, _, _) in zip(sel.negatives, state.bank.entries):
+            for a, b in zip(sel.negatives, state.bank.embeddings):
                 np.testing.assert_array_equal(a, b)
 
 
