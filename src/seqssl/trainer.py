@@ -7,6 +7,11 @@ gates, reliability scores, positive/negative selection, prototype updates)
 and freezes the results into a plan. ``compute_losses`` is then a pure,
 smooth function of the student parameters given that plan, which is what
 makes finite-difference gradient verification of every loss exact.
+
+A switched-off mechanism does no work in a step. With ``use_acl`` off the
+prototypes, the bank, the teacher's ``f_p``/``f_score`` encode and the
+reliability scoring are neither computed nor read; with ``use_mtl`` off the
+temporal centers stay put and no alignment term is built.
 """
 
 from __future__ import annotations
@@ -107,10 +112,11 @@ class UnlabeledItem:
     gate: bool
     gamma: float
     selection: Optional[acl_mod.AclSelection]
-    f_p: np.ndarray
-    f_score: np.ndarray     # unit pooled embedding, used only for reliability
     true_label: int
-    source_id: int
+    # ACL's view of the teacher's weak short clip (None with ACL off): the
+    # spatial embedding and the unit pooled embedding used for reliability
+    f_p: Optional[np.ndarray] = None
+    f_score: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -158,6 +164,10 @@ def fused_pseudo_label(teacher: bb.ParamSet, weak_short: bb.Clip,
     return y_hat, float(fused[y_hat] / len(clips)), per_clip
 
 
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / max(float(np.linalg.norm(v)), 1e-12)
+
+
 def sgd_step(params: bb.ParamSet, velocity: dict, lr: float, momentum: float,
              weight_decay: float) -> None:
     """v <- momentum*v + grad + wd*p; p <- p - lr*v."""
@@ -175,9 +185,12 @@ def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
 
 def prepare_step_plan(state: TrainerState, labeled_recs, unlabeled_recs,
                       rng: np.random.Generator) -> StepPlan:
-    """Teacher-side pass: draws augmentations, fixes pseudo-labels, gates,
-    reliability scores and contrastive selections, and updates prototypes
-    from the labeled embeddings."""
+    """Teacher-side pass: draws augmentations and fixes pseudo-labels and
+    gates. With ACL on it also updates the prototypes from the labeled
+    embeddings, encodes each weak short clip for ``f_p``/``f_score``, and
+    fixes reliability scores and contrastive selections; with ACL off none of
+    that runs. Encodes draw no rng, so the rng draws are the same either
+    way."""
     cfg, ds = state.cfg, state.ds
 
     labeled_items = []
@@ -190,16 +203,6 @@ def prepare_step_plan(state: TrainerState, labeled_recs, unlabeled_recs,
                  for c in [sample.short_clip] + sample.long_clips]
         labeled_items.append(LabeledItem(clips=clips, label=rec.class_id))
 
-    # prototype updates from the current student's labeled embeddings;
-    # every view counts, so prototypes stabilize within the first epochs
-    # and reliability scoring engages early
-    for item in labeled_items:
-        for clip in item.clips:
-            enc = bb.encode(state.student, clip)
-            pooled = enc.pooled.data
-            f_l = pooled / max(float(np.linalg.norm(pooled)), 1e-12)
-            state.protos.update(item.label, f_l, cfg.beta)
-
     unlabeled_items = []
     for rec in unlabeled_recs:
         frames = ds.frames(rec)
@@ -210,19 +213,27 @@ def prepare_step_plan(state: TrainerState, labeled_recs, unlabeled_recs,
 
         y_hat, fused_max, _ = fused_pseudo_label(state.teacher, weak_short,
                                                  weak_longs)
-        enc_p = bb.encode(state.teacher, weak_short)
-        f_p = bb.spatial_embed(state.teacher, enc_p).data
-        pooled = enc_p.pooled.data
-        f_score = pooled / max(float(np.linalg.norm(pooled)), 1e-12)
-
         unlabeled_items.append(UnlabeledItem(
             weak_short=weak_short, strong_short=strong_short,
             weak_longs=weak_longs, pseudo_label=y_hat,
             gate=fused_max > cfg.delta, gamma=1.0, selection=None,
-            f_p=f_p, f_score=f_score, true_label=rec.class_id,
-            source_id=rec.source_id))
+            true_label=rec.class_id))
 
     if cfg.use_acl:
+        # prototype updates from the current student's labeled embeddings;
+        # every view counts, so prototypes stabilize within the first epochs
+        # and reliability scoring engages early. The student is fixed while a
+        # plan is built, so where in the plan they are updated does not
+        # matter.
+        for item in labeled_items:
+            for clip in item.clips:
+                pooled = bb.encode(state.student, clip).pooled.data
+                state.protos.update(item.label, _unit(pooled), cfg.beta)
+        for it in unlabeled_items:
+            enc_p = bb.encode(state.teacher, it.weak_short)
+            it.f_p = bb.spatial_embed(state.teacher, enc_p).data
+            it.f_score = _unit(enc_p.pooled.data)
+
         # the bank and the prototypes stay fixed over the unlabeled batch, so
         # its candidate sets are scored in one batched GMM fit; select falls
         # back for a pseudo-class without a prototype
@@ -325,8 +336,9 @@ def train_step(state: TrainerState, labeled_recs, unlabeled_recs, epoch: int,
              cfg.momentum, cfg.weight_decay)
     bb.ema_update(state.teacher, state.student, cfg.ema_momentum)
 
-    for item in plan.unlabeled:
-        state.bank.push(item.f_p, item.f_score, item.pseudo_label)
+    if cfg.use_acl:
+        for item in plan.unlabeled:
+            state.bank.push(item.f_p, item.f_score, item.pseudo_label)
 
     accepted = [it for it in plan.unlabeled if it.gate]
     n_correct = sum(1 for it in accepted if it.pseudo_label == it.true_label)

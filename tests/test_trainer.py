@@ -242,6 +242,101 @@ class TestAclPlan:
                 np.testing.assert_array_equal(a, b)
 
 
+def ablation(use_acl, use_mtl):
+    cfg, ds = small()
+    return tr.TrainConfig(**{**cfg.__dict__, "use_acl": use_acl,
+                             "use_mtl": use_mtl}), ds
+
+
+ABLATIONS = [(False, False), (True, False), (False, True), (True, True)]
+
+
+class TestSwitchedOffWork:
+    @pytest.mark.parametrize("use_acl,use_mtl", ABLATIONS)
+    def test_encodes_per_step(self, monkeypatch, use_acl, use_mtl):
+        # labeled: S views for L_l, S more for the prototypes with ACL on;
+        # unlabeled: S teacher clips for the fused pseudo-label, the strong
+        # student clip, the teacher's f_p clip with ACL on, and with MTL on
+        # S teacher clips for the centers plus 1 student and S teacher clips
+        # for the alignment loss
+        cfg, ds = ablation(use_acl, use_mtl)
+        calls = []
+        real_encode = bb.encode
+
+        def counting_encode(*args, **kwargs):
+            calls.append(1)
+            return real_encode(*args, **kwargs)
+
+        monkeypatch.setattr(bb, "encode", counting_encode)
+        monkeypatch.setattr(mtl, "encode", counting_encode)
+        state = tr.TrainerState(cfg, ds)
+        rng = np.random.default_rng(0)
+        S, acl, m = len(cfg.strides), int(use_acl), int(use_mtl)
+        want = (cfg.b_l * S * (1 + acl)
+                + cfg.b_u * (S + 1 + acl + m * (2 * S + 1)))
+        for s in range(2):
+            calls.clear()
+            tr.train_step(state, ds.labeled[2*s:2*s+2],
+                          ds.unlabeled[3*s:3*s+3], 0, rng)
+            assert len(calls) == want
+
+    @pytest.mark.parametrize("use_mtl", [False, True])
+    def test_acl_off_leaves_acl_state_alone(self, use_mtl):
+        cfg, ds = ablation(False, use_mtl)
+        state = tr.TrainerState(cfg, ds)
+        rng = np.random.default_rng(0)
+        for s in range(3):
+            plan = tr.prepare_step_plan(state, ds.labeled[:2],
+                                        ds.unlabeled[3*s:3*s+3], rng)
+            for it in plan.unlabeled:
+                assert it.f_p is None and it.f_score is None
+                assert it.selection is None and it.gamma == 1.0
+            tr.train_step(state, ds.labeled[:2], ds.unlabeled[3*s:3*s+3], 0,
+                          rng)
+        assert len(state.bank) == 0
+        assert not state.protos.initialized.any()
+
+    @pytest.mark.parametrize("use_mtl", [False, True])
+    def test_acl_off_ignores_a_filled_bank(self, use_mtl):
+        # a bank and prototype table full of random records change nothing
+        # in an ACL-off step, and the steps leave them as they were
+        cfg, ds = ablation(False, use_mtl)
+
+        def run(state):
+            rng = np.random.default_rng(0)
+            reports = [tr.train_step(state, ds.labeled[:2],
+                                     ds.unlabeled[3*s:3*s+3], 0, rng)
+                       for s in range(3)]
+            return reports, {k: p.data.copy()
+                             for k, p in state.student.params.items()}
+
+        def unit(v):
+            return v / np.linalg.norm(v)
+
+        empty = tr.TrainerState(cfg, ds)
+        filled = tr.TrainerState(cfg, ds)
+        r = np.random.default_rng(7)
+        for _ in range(20):
+            filled.bank.push(unit(r.normal(size=cfg.d_e)),
+                             unit(r.normal(size=cfg.d_h)),
+                             int(r.integers(ds.cfg.n_classes)))
+        for c in range(ds.cfg.n_classes):
+            filled.protos.update(c, unit(r.normal(size=cfg.d_h)), cfg.beta)
+        bank = (filled.bank.embeddings.copy(), filled.bank.scores.copy(),
+                filled.bank.labels.copy())
+        protos = filled.protos.prototypes.copy()
+
+        want_reports, want_params = run(empty)
+        got_reports, got_params = run(filled)
+        assert got_reports == want_reports
+        for k, p in want_params.items():
+            np.testing.assert_array_equal(got_params[k], p)
+        for a, b in zip((filled.bank.embeddings, filled.bank.scores,
+                         filled.bank.labels), bank):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(filled.protos.prototypes, protos)
+
+
 class TestMtlCenters:
     def test_centers_track_calibrated_teacher_logits(self):
         # the alignment loss subtracts the centre from the teacher head's
@@ -335,13 +430,12 @@ class TestRunTraining:
                              d_e=4, d_k=5, bank_capacity=16, epochs=2,
                              b_l=1, b_u=3, delta=1.0)
         ds = SynthDataset(ds_cfg)
-        label_of = {r.source_id: r.class_id for r in ds.unlabeled}
         drawn = []
         real_plan = tr.prepare_step_plan
 
         def recording_plan(state, labeled_recs, unlabeled_recs, rng):
             plan = real_plan(state, labeled_recs, unlabeled_recs, rng)
-            drawn.append([(it.pseudo_label, label_of[it.source_id])
+            drawn.append([(it.pseudo_label, it.true_label)
                           for it in plan.unlabeled])
             return plan
 
