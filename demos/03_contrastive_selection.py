@@ -43,18 +43,18 @@ candidates = acl.build_candidates(bank, pseudo_label=0, f_score=f_p)
 scores = acl.score_candidates([(candidates, table.get(0))])[0]
 print(f"candidate reliabilities: {scores.round(3)}")
 
-sel = acl.select(bank, 0, f_p, f_p, scores, epsilon=0.7)
+sel = acl.select(bank, 0, f_p, scores, epsilon=0.7)
 print(f"fallback used          : {sel.used_fallback}")
 print(f"positives / negatives  : {len(sel.positives)} / {len(sel.negatives)}")
 
-loss = acl.acl_loss(sel, tau=0.07)
+loss = acl.acl_loss(f_p, sel, tau=0.07)
 print(f"contrastive loss       : {loss.item():.4f}")
 
 # An unreliable anchor (random direction) trips the fallback: the only
 # positive is the anchor's own weak view and the whole bank pushes away.
 f_bad = unit(rng.normal(size=d))
 cands = acl.build_candidates(bank, 0, f_bad)
-sel_bad = acl.select(bank, 0, f_bad, f_bad,
+sel_bad = acl.select(bank, 0, f_bad,
                      acl.score_candidates([(cands, table.get(0))])[0],
                      epsilon=0.7)
 print(f"unreliable anchor      : fallback={sel_bad.used_fallback}, "

@@ -30,11 +30,13 @@ q = encode(state.student, sample.short_clip).tokens
 k_same = mtl.calibrate(q, q)
 print(f"self-calibration attention  : {k_same.attention.data.round(6)}")
 
+# the teacher logits are centred by the state's running centres (zero at
+# the start of training)
 weak_short = weak_augment(sample.short_clip, rng, frames)
 strong_short = strong_augment(sample.short_clip, rng, frames)
 loss, per_scale = mtl.mtl_loss_from_clips(
     weak_short, strong_short, sample.long_clips, state.student, state.teacher,
-    cfg.tau_s, cfg.tau_t)
+    cfg.tau_s, cfg.tau_t, state.mtl_centers)
 print(f"alignment loss (mean over scales): {loss.item():.4f}")
 for n, (scale_loss, mean_attn) in enumerate(per_scale, start=1):
     stride = cfg.strides[n]

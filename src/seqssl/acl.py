@@ -11,12 +11,11 @@ import numpy as np
 
 from . import autodiff as ad
 from . import gmm
-from .errors import EmptyPositives, PrototypeMissing
+from .errors import EmptyPositives
 from .protobank import MemoryBank
 
 @dataclass
 class AclSelection:
-    anchor: object                     # Tensor (student side) or array
     positives: np.ndarray              # (k+1, d_e): kept records, f^p last
     negatives: np.ndarray              # (m, d_e): the other bank records
     anchor_reliability: float
@@ -43,24 +42,24 @@ def score_candidates(sets: list) -> list:
     batch.
 
     Distances are cosines to the set's class prototype. Sets too small or
-    too concentrated for a meaningful mixture get score 1.0 everywhere.
+    too concentrated for a meaningful mixture get score 1.0 everywhere. A
+    set whose class has no prototype yet (None) gets None.
     """
-    dists = []
-    for candidates, prototype in sets:
-        if prototype is None:
-            raise PrototypeMissing("no prototype for the candidate class")
-        stacked = np.asarray(candidates, dtype=np.float64)
-        norms = np.linalg.norm(stacked, axis=1) * np.linalg.norm(prototype)
-        dists.append(stacked @ prototype / norms)
-    fitted = [i for i, d in enumerate(dists)
-              if len(d) >= gmm.MIN_POINTS and d.std() >= gmm.MIN_SPREAD]
-    scores = [np.ones(len(d)) for d in dists]
+    dists = [None] * len(sets)
+    for i, (candidates, prototype) in enumerate(sets):
+        if prototype is not None:
+            stacked = np.asarray(candidates, dtype=np.float64)
+            norms = np.linalg.norm(stacked, axis=1) * np.linalg.norm(prototype)
+            dists[i] = stacked @ prototype / norms
+    fitted = [i for i, d in enumerate(dists) if d is not None
+              and len(d) >= gmm.MIN_POINTS and d.std() >= gmm.MIN_SPREAD]
+    scores = [None if d is None else np.ones(len(d)) for d in dists]
     for i, fit in zip(fitted, gmm.fit_gmm_many([dists[i] for i in fitted])):
         scores[i] = gmm.reliability_many(fit, dists[i])
     return scores
 
 
-def select(bank: MemoryBank, pseudo_label: int, anchor, f_p: np.ndarray,
+def select(bank: MemoryBank, pseudo_label: int, f_p: np.ndarray,
            scores: Optional[np.ndarray], epsilon: float) -> AclSelection:
     """Threshold the scored candidates; fall back to {f^p} vs the whole bank
     when the anchor's own score is not above epsilon, or with reliability 0
@@ -75,19 +74,19 @@ def select(bank: MemoryBank, pseudo_label: int, anchor, f_p: np.ndarray,
     gamma_fp = 0.0 if scores is None else float(scores[-1])
     if scores is None or gamma_fp <= epsilon:
         return AclSelection(
-            anchor=anchor, positives=f_p[None].copy(), negatives=emb.copy(),
+            positives=f_p[None].copy(), negatives=emb.copy(),
             anchor_reliability=gamma_fp, used_fallback=True)
 
     labels = bank.labels
     keep = np.zeros(len(labels), dtype=bool)
     keep[labels == pseudo_label] = np.asarray(scores[:-1]) > epsilon
     return AclSelection(
-        anchor=anchor, positives=_append_row(emb[keep], f_p),
+        positives=_append_row(emb[keep], f_p),
         negatives=emb[~keep], anchor_reliability=gamma_fp,
         used_fallback=False)
 
 
-def acl_loss(sel: AclSelection, tau: float) -> ad.Tensor:
+def acl_loss(anchor, sel: AclSelection, tau: float) -> ad.Tensor:
     """-log of the positive exponential-sum share; differentiable in the anchor.
 
     Bank entries and f^p are teacher-side constants and carry no gradient.
@@ -95,7 +94,7 @@ def acl_loss(sel: AclSelection, tau: float) -> ad.Tensor:
     """
     if not len(sel.positives):
         raise EmptyPositives("selection has no positive samples")
-    anchor = ad.as_tensor(sel.anchor)
+    anchor = ad.as_tensor(anchor)
     pos = ad.Tensor(np.asarray(sel.positives, dtype=np.float64))
     s_pos = ad.tsum(ad.exp(ad.scale(ad.matmul(pos, anchor), 1.0 / tau)))
     if len(sel.negatives):

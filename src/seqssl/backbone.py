@@ -33,13 +33,13 @@ TEMP_HEAD_SCALE = 0.01
 
 @dataclass
 class ModelDims:
-    d_in: int = 16
-    d_h: int = 32
-    d_e: int = 16
-    d_k: int = 32
-    n_classes: int = 8
-    clip_len: int = 8
-    n_scales: int = 2
+    d_in: int
+    d_h: int
+    d_e: int
+    d_k: int
+    n_classes: int
+    clip_len: int
+    n_scales: int
 
 
 @dataclass

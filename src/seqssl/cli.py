@@ -94,8 +94,7 @@ SPEC_KEYS = ("train", "dataset", "seeds", "out_dir")
 RANGES = {
     "train": (
         (("epochs", "b_l", "b_u", "clip_len", "bank_capacity", "d_h", "d_e",
-          "d_k", "checkpoint_every", "strides"), lambda v: v >= 1,
-         "at least 1"),
+          "d_k", "strides"), lambda v: v >= 1, "at least 1"),
         (("tau", "tau_s", "tau_t"), lambda v: v > 0, "above 0"),
         (("delta", "epsilon", "beta", "momentum", "ema_momentum"),
          lambda v: 0 <= v <= 1, "in [0, 1]"),
@@ -166,6 +165,8 @@ def _check_seeds(seeds) -> None:
     for s in seeds:
         if not _is_int(s) or s < 0:
             raise ConfigError(f"seeds: expected non-negative ints, got {s!r}")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"seeds must not repeat, got {seeds}")
 
 
 def _out_dir(args, spec: dict) -> str:
@@ -271,12 +272,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="seqssl")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (("train", cmd_train), ("ablate", cmd_ablate),
-                     ("verify", cmd_verify), ("gen-data", cmd_gen_data)):
+                     ("gen-data", cmd_gen_data)):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
         p.set_defaults(fn=fn)
+    sub.add_parser("verify").set_defaults(fn=cmd_verify)
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

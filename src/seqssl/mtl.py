@@ -86,16 +86,16 @@ def teacher_scale_logits(teacher: ParamSet, weak_short: Clip,
 def mtl_loss_from_clips(weak_short: Clip, strong_short: Clip,
                         weak_longs: List[Clip], student: ParamSet,
                         teacher: ParamSet, tau_s: float, tau_t: float,
-                        centers=None):
+                        centers):
     """MTL loss from already-augmented clips.
 
-    `centers` (optional, one vector per scale) is subtracted from the teacher
-    logits before sharpening. It must be the running mean of those same
-    logits, i.e. of ``teacher_scale_logits``. Without it the sharpened
-    teacher target is trivially whatever logit dominates for every input and
-    the alignment collapses to zero in a few steps; a running center keeps
-    the target distribution spread over the embedding dimensions so
-    alignment keeps exerting pressure to separate inputs (standard remedy in
+    `centers` (one vector per scale) is subtracted from the teacher logits
+    before sharpening. It must be the running mean of those same logits,
+    i.e. of ``teacher_scale_logits``. Uncentred, the sharpened teacher
+    target is whatever logit dominates for every input and the alignment
+    collapses to zero in a few steps; a running center keeps the target
+    distribution spread over the embedding dimensions so alignment keeps
+    exerting pressure to separate inputs (standard remedy in
     self-distillation).
 
     Returns (loss, per_scale) where per_scale holds (alignment loss value,
@@ -107,9 +107,7 @@ def mtl_loss_from_clips(weak_short: Clip, strong_short: Clip,
     for n, (z_k, calib) in enumerate(
             teacher_scale_logits(teacher, weak_short, weak_longs), start=1):
         z_q = temporal_embed(student, n, qstar_tokens)
-        if centers is not None:
-            z_k = z_k - centers[n - 1]
-        loss_n = alignment_loss(z_q, z_k, tau_s, tau_t)
+        loss_n = alignment_loss(z_q, z_k - centers[n - 1], tau_s, tau_t)
         losses.append(loss_n)
         per_scale.append((loss_n.item(), float(calib.attention.data.mean())))
     total = losses[0]

@@ -20,7 +20,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -38,6 +38,8 @@ from .synthgen import (DatasetConfig, SynthDataset, VideoRecord,
 # momentum of the running center of teacher temporal logits (anti-collapse
 # bias for the alignment loss)
 CENTER_MOMENTUM = 0.9
+# a run writes checkpoint.json every CHECKPOINT_EVERY epochs and after its last
+CHECKPOINT_EVERY = 10
 
 
 @dataclass
@@ -67,7 +69,6 @@ class TrainConfig:
     d_k: int = 16
     use_acl: bool = True
     use_mtl: bool = True
-    checkpoint_every: int = 10
 
     @property
     def n_scales(self) -> int:
@@ -110,9 +111,9 @@ class UnlabeledItem:
     weak_longs: List[bb.Clip]
     pseudo_label: int
     gate: bool
-    gamma: float
-    selection: Optional[acl_mod.AclSelection]
     true_label: int
+    gamma: float = 1.0
+    selection: Optional[acl_mod.AclSelection] = None
     # ACL's view of the teacher's weak short clip (None with ACL off): the
     # spatial embedding and the unit pooled embedding used for reliability
     f_p: Optional[np.ndarray] = None
@@ -216,8 +217,7 @@ def prepare_step_plan(state: TrainerState, labeled_recs, unlabeled_recs,
         unlabeled_items.append(UnlabeledItem(
             weak_short=weak_short, strong_short=strong_short,
             weak_longs=weak_longs, pseudo_label=y_hat,
-            gate=fused_max > cfg.delta, gamma=1.0, selection=None,
-            true_label=rec.class_id))
+            gate=fused_max > cfg.delta, true_label=rec.class_id))
 
     if cfg.use_acl:
         # prototype updates from the current student's labeled embeddings;
@@ -236,23 +236,21 @@ def prepare_step_plan(state: TrainerState, labeled_recs, unlabeled_recs,
 
         # the bank and the prototypes stay fixed over the unlabeled batch, so
         # its candidate sets are scored in one batched GMM fit; select falls
-        # back for a pseudo-class without a prototype
-        has_proto = [state.protos.initialized[it.pseudo_label]
-                     for it in unlabeled_items]
-        scores = iter(acl_mod.score_candidates([
+        # back where the pseudo-class has no prototype (scores None)
+        scores = acl_mod.score_candidates([
             (acl_mod.build_candidates(state.bank, it.pseudo_label, it.f_score),
-             state.protos.get(it.pseudo_label))
-            for it, ok in zip(unlabeled_items, has_proto) if ok]))
-        for it, ok in zip(unlabeled_items, has_proto):
-            it.selection = acl_mod.select(state.bank, it.pseudo_label, None,
-                                          it.f_p, next(scores) if ok else None,
-                                          cfg.epsilon)
+             state.protos.get(it.pseudo_label)
+             if state.protos.initialized[it.pseudo_label] else None)
+            for it in unlabeled_items])
+        for it, it_scores in zip(unlabeled_items, scores):
+            it.selection = acl_mod.select(state.bank, it.pseudo_label, it.f_p,
+                                          it_scores, cfg.epsilon)
             it.gamma = it.selection.anchor_reliability
 
     # the plan uses the centers as they stood before this step; then the
     # running centers absorb this batch's teacher logits
     centers_snapshot = None
-    if cfg.use_mtl and unlabeled_items:
+    if cfg.use_mtl:
         centers_snapshot = [c.copy() for c in state.mtl_centers]
         # the centers track the very logits the alignment loss centres: the
         # teacher head on the *calibrated* long tokens
@@ -297,16 +295,16 @@ def compute_losses(student: bb.ParamSet, teacher: bb.ParamSet, plan: StepPlan,
             probs = bb.classify(student, enc_strong)
             ce = ad.cross_entropy(probs, item.pseudo_label)
             loss_u = ad.add(loss_u, ad.scale(ce, item.gamma))
-        if cfg.use_acl and item.selection is not None:
+        if item.selection is not None:
             anchor = bb.spatial_embed(student, enc_strong)
-            sel = replace(item.selection, anchor=anchor)
-            loss_acl = ad.add(loss_acl, acl_mod.acl_loss(sel, cfg.tau))
+            loss_acl = ad.add(loss_acl, acl_mod.acl_loss(anchor, item.selection,
+                                                         cfg.tau))
             n_anchors += 1
         if cfg.use_mtl:
             term, _ = mtl_loss_from_clips(item.weak_short, item.strong_short,
                                           item.weak_longs, student, teacher,
                                           cfg.tau_s, cfg.tau_t,
-                                          centers=plan.mtl_centers)
+                                          plan.mtl_centers)
             mtl_terms = ad.add(mtl_terms, term)
 
     n_u = max(1, len(plan.unlabeled))
@@ -448,7 +446,7 @@ def run_training(cfg: TrainConfig, ds_cfg: DatasetConfig, out_dir: str,
                 "n_accepted": n_acc,
                 "pseudo_acc_all": n_corr_all / max(1, n_seen),
                 "acceptance_rate": n_acc / max(1, n_seen)})
-            if (epoch + 1) % cfg.checkpoint_every == 0 or epoch == cfg.epochs - 1:
+            if (epoch + 1) % CHECKPOINT_EVERY == 0 or epoch == cfg.epochs - 1:
                 bb.save_checkpoint(os.path.join(out_dir, "checkpoint.json"),
                                    state.student, state.teacher, cfg_hash)
 

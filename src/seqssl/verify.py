@@ -162,9 +162,9 @@ def acl_oracle_checks(n_cases: int = 50) -> List[CheckResult]:
         n_neg = int(rng.integers(0, 30))
         anchor, pos, neg = unit(), [unit() for _ in range(n_pos)], \
             [unit() for _ in range(n_neg)]
-        sel = acl_mod.AclSelection(anchor=anchor, positives=pos, negatives=neg,
+        sel = acl_mod.AclSelection(positives=pos, negatives=neg,
                                    anchor_reliability=1.0, used_fallback=False)
-        got = acl_mod.acl_loss(sel, 0.07).item()
+        got = acl_mod.acl_loss(anchor, sel, 0.07).item()
         want = acl_oracle(anchor, pos, neg, 0.07)
         worst = max(worst, abs(got - want))
     return [CheckResult("acl_loss_vs_direct_sum", worst, 1e-9)]

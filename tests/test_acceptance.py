@@ -109,7 +109,7 @@ def test_criterion_4_selection_semantics():
         n_cand = sum(1 for lab in bank.labels if lab == label) + 1
         scores = rng.uniform(size=n_cand)
         epsilon = float(rng.uniform(0.2, 0.9))
-        sel = acl_mod.select(bank, label, None, f_p, scores, epsilon)
+        sel = acl_mod.select(bank, label, f_p, scores, epsilon)
         ref_pos, ref_neg, ref_fb = _reference_select(bank, label, f_p,
                                                      scores, epsilon)
         assert sel.used_fallback == ref_fb

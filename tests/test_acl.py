@@ -3,7 +3,7 @@ import pytest
 
 from seqssl import acl
 from seqssl import autodiff as ad
-from seqssl.errors import EmptyPositives, PrototypeMissing
+from seqssl.errors import EmptyPositives
 from seqssl.protobank import MemoryBank
 
 
@@ -73,8 +73,8 @@ class TestScoreCandidates:
         assert (scores[50:] < 0.01).all()
 
     def test_missing_prototype(self):
-        with pytest.raises(PrototypeMissing):
-            acl.score_candidates([([np.ones(3)], None)])
+        # no prototype yet: the set gets no scores, and select falls back
+        assert acl.score_candidates([([np.ones(3)], None)]) == [None]
 
     def test_permutation_invariant_membership(self):
         rng = np.random.default_rng(3)
@@ -97,8 +97,14 @@ class TestScoreCandidates:
                          proto))
         v = unit(rng)
         sets.insert(3, ([v.copy() for _ in range(10)], unit(rng)))
-        scores = acl.score_candidates(sets)
-        assert len(scores) == len(sets)
+        # sets whose class has no prototype yet, first, inside and last
+        no_proto = [([unit(rng) for _ in range(n)], None) for n in (30, 5, 12)]
+        mixed = [no_proto[0]] + sets[:2] + [no_proto[1]] + sets[2:] \
+            + [no_proto[2]]
+        batch = acl.score_candidates(mixed)
+        assert len(batch) == len(mixed)
+        assert [b is None for b in batch] == [p is None for _, p in mixed]
+        scores = [b for b in batch if b is not None]
         for (cands, proto), got in zip(sets, scores):
             np.testing.assert_array_equal(
                 got, acl.score_candidates([(cands, proto)])[0])
@@ -134,7 +140,7 @@ class TestSelect:
             bank.push(v, v, 0)
         f_p = unit(rng)
         scores = np.ones(5)
-        sel = acl.select(bank, 0, None, f_p, scores, 0.7)
+        sel = acl.select(bank, 0, f_p, scores, 0.7)
         assert not sel.used_fallback
         assert len(sel.positives) == 5
         assert len(sel.negatives) == 0
@@ -147,7 +153,7 @@ class TestSelect:
             bank.push(v, v, lab)
         f_p = unit(rng)
         scores = np.array([1.0, 1.0, 0.1])  # anchor itself unreliable
-        sel = acl.select(bank, 0, None, f_p, scores, 0.7)
+        sel = acl.select(bank, 0, f_p, scores, 0.7)
         assert sel.used_fallback
         assert len(sel.positives) == 1
         np.testing.assert_array_equal(sel.positives[0], f_p)
@@ -163,7 +169,7 @@ class TestSelect:
         f_p = unit(rng)
         for g in (0.69, 0.7, 0.700001, 0.99):
             scores = np.concatenate([np.ones(4), [g]])
-            sel = acl.select(bank, 0, None, f_p, scores, 0.7)
+            sel = acl.select(bank, 0, f_p, scores, 0.7)
             assert sel.used_fallback == (g <= 0.7)
 
     def test_no_scores_falls_back_with_zero_reliability(self):
@@ -176,7 +182,7 @@ class TestSelect:
             bank.push(v, v, lab)
         f_p = unit(rng)
         for eps in (-1.0, 0.0, 0.7):
-            sel = acl.select(bank, 0, None, f_p, None, eps)
+            sel = acl.select(bank, 0, f_p, None, eps)
             assert sel.used_fallback
             assert sel.anchor_reliability == 0.0
             assert len(sel.positives) == 1
@@ -199,7 +205,7 @@ class TestSelect:
             n_cand = len(bank.candidates_of(c)) + 1
             scores = rng.uniform(0, 1, size=n_cand)
             eps = float(rng.uniform(0.1, 0.9))
-            sel = acl.select(bank, c, None, f_p, scores, eps)
+            sel = acl.select(bank, c, f_p, scores, eps)
             ref_pos, ref_neg, ref_fb = reference_select(bank, c, f_p, scores, eps)
             assert sel.used_fallback == ref_fb
             assert len(sel.positives) == len(ref_pos)
@@ -213,39 +219,39 @@ class TestSelect:
 class TestAclLoss:
     def test_no_negatives_zero_loss(self):
         rng = np.random.default_rng(0)
-        sel = acl.AclSelection(anchor=unit(rng),
-                               positives=[unit(rng) for _ in range(3)],
+        anchor = unit(rng)
+        sel = acl.AclSelection(positives=[unit(rng) for _ in range(3)],
                                negatives=[], anchor_reliability=1.0,
                                used_fallback=False)
-        assert acl.acl_loss(sel, 0.07).item() == 0.0
+        assert acl.acl_loss(anchor, sel, 0.07).item() == 0.0
 
     def test_hand_case(self):
-        sel = acl.AclSelection(anchor=np.array([1.0, 0.0]),
-                               positives=[np.array([1.0, 0.0])],
+        sel = acl.AclSelection(positives=[np.array([1.0, 0.0])],
                                negatives=[np.array([0.0, 1.0])],
                                anchor_reliability=1.0, used_fallback=False)
         expected = -np.log(np.e / (np.e + 1.0))
-        assert acl.acl_loss(sel, 1.0).item() == pytest.approx(expected, abs=1e-9)
+        assert acl.acl_loss(np.array([1.0, 0.0]), sel, 1.0).item() == \
+            pytest.approx(expected, abs=1e-9)
 
     def test_matches_brute_force_tau007(self):
         rng = np.random.default_rng(1)
         anchor = unit(rng)
         pos = [unit(rng) for _ in range(5)]
         neg = [unit(rng) for _ in range(20)]
-        sel = acl.AclSelection(anchor=anchor, positives=pos, negatives=neg,
+        sel = acl.AclSelection(positives=pos, negatives=neg,
                                anchor_reliability=1.0, used_fallback=False)
         tau = 0.07
         s_pos = sum(np.exp(np.dot(anchor, f) / tau) for f in pos)
         s_neg = sum(np.exp(np.dot(anchor, f) / tau) for f in neg)
         expected = -np.log(s_pos / (s_pos + s_neg))
-        assert acl.acl_loss(sel, tau).item() == pytest.approx(expected, abs=1e-9)
+        assert acl.acl_loss(anchor, sel, tau).item() == \
+            pytest.approx(expected, abs=1e-9)
 
     def test_empty_positives(self):
-        sel = acl.AclSelection(anchor=np.ones(2),
-                               positives=[], negatives=[],
+        sel = acl.AclSelection(positives=[], negatives=[],
                                anchor_reliability=0.0, used_fallback=True)
         with pytest.raises(EmptyPositives):
-            acl.acl_loss(sel, 0.07)
+            acl.acl_loss(np.ones(2), sel, 0.07)
 
     def test_monotone_in_similarities(self):
         # raising a positive's similarity lowers the loss; raising a
@@ -257,10 +263,10 @@ class TestAclLoss:
             neg = [unit(rng) for _ in range(5)]
 
             def loss(p, n):
-                sel = acl.AclSelection(anchor=anchor, positives=p, negatives=n,
+                sel = acl.AclSelection(positives=p, negatives=n,
                                        anchor_reliability=1.0,
                                        used_fallback=False)
-                return acl.acl_loss(sel, 0.07).item()
+                return acl.acl_loss(anchor, sel, 0.07).item()
 
             base = loss(pos, neg)
             closer = [pos[0] + 0.01 * (anchor - pos[0])] + pos[1:]
@@ -274,9 +280,9 @@ class TestAclLoss:
         neg = [unit(rng) for _ in range(9)]
 
         def f(w):
-            sel = acl.AclSelection(anchor=w, positives=pos, negatives=neg,
+            sel = acl.AclSelection(positives=pos, negatives=neg,
                                    anchor_reliability=1.0, used_fallback=False)
-            return acl.acl_loss(sel, 0.07)
+            return acl.acl_loss(w, sel, 0.07)
 
         assert ad.gradcheck(f, ad.Tensor(unit(rng))) < 1e-4
 
@@ -293,9 +299,9 @@ class TestAclLoss:
         arrays = (np.array(pos), np.array(neg).reshape(-1, 6))
         for p, n in ((pos, neg), arrays):
             w = ad.parameter(start)
-            sel = acl.AclSelection(anchor=w, positives=p, negatives=n,
+            sel = acl.AclSelection(positives=p, negatives=n,
                                    anchor_reliability=1.0, used_fallback=False)
-            loss = acl.acl_loss(sel, 0.07)
+            loss = acl.acl_loss(w, sel, 0.07)
             loss.backward()
             out.append((loss.item(), w.grad))
         assert out[0][0] == out[1][0]

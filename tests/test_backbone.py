@@ -5,7 +5,9 @@ import pytest
 
 from seqssl import autodiff as ad
 from seqssl import backbone as bb
+from seqssl import trainer as tr
 from seqssl.errors import ScaleOutOfRange, ShapeMismatch
+from seqssl.synthgen import DatasetConfig, SynthDataset
 
 DIMS = bb.ModelDims(d_in=4, d_h=6, d_e=4, d_k=5, n_classes=3, clip_len=4,
                     n_scales=2)
@@ -72,11 +74,19 @@ def reference_encode(params, frames):
     return tokens, tokens.mean(axis=0)
 
 
+def default_dims():
+    """The dims of a run with the default configs, as TrainerState fills
+    them."""
+    ds = SynthDataset(DatasetConfig())
+    return tr.TrainerState(tr.TrainConfig(), ds).student.dims
+
+
 class TestEncodeBitIdentity:
-    @pytest.mark.parametrize("dims", [DIMS, bb.ModelDims()],
+    @pytest.mark.parametrize("make_dims", [lambda: DIMS, default_dims],
                              ids=["small", "default"])
     @pytest.mark.parametrize("role", ["student", "teacher"])
-    def test_matches_reference_encode(self, dims, role):
+    def test_matches_reference_encode(self, make_dims, role):
+        dims = make_dims()
         student = bb.ParamSet.init(dims, np.random.default_rng(3), True)
         params = student if role == "student" else student.copy_as_teacher()
         rng = np.random.default_rng(8)

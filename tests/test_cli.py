@@ -87,6 +87,7 @@ INVALID_OPTIONS = [
     ("train", "weight_decay", float("inf")),
     ("train", "mu1", float("inf")),
     ("train", "mu2", float("inf")),
+    ("seeds", None, [0, 0]),
 ]
 
 
@@ -168,6 +169,19 @@ class TestConfigErrors:
         assert rc == 2
         assert "n_classes must be even" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["train", "ablate", "gen-data"])
+    def test_repeated_seed_exits_2_before_writing(self, tmp_path, capsys,
+                                                  command):
+        # two runs of one seed would share a run directory and count twice
+        # in every median
+        out = tmp_path / "o"
+        rc = cli.main([command, "--config",
+                       write_spec(tmp_path, {**TINY, "seeds": [0, 0, 1]}),
+                       "--out", str(out)])
+        assert rc == 2
+        assert "seeds must not repeat" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_single_stride_exits_2(self, tmp_path, capsys):
         spec = {**TINY, "train": {**TINY["train"], "strides": [2]}}
@@ -384,3 +398,12 @@ class TestVerify:
         assert rc == 0
         assert "FAIL" not in out
         assert out.count("PASS") >= 3
+
+    @pytest.mark.parametrize("option", [["--seed", "1"], ["--config", "x"],
+                                        ["--out", "o"]],
+                             ids=["seed", "config", "out"])
+    def test_verify_takes_no_options(self, option):
+        # verify reads no spec, seed or output directory
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", *option])
+        assert exc.value.code == 2

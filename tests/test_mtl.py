@@ -8,6 +8,8 @@ from seqssl.errors import VideoTooShort
 
 DIMS = bb.ModelDims(d_in=4, d_h=6, d_e=4, d_k=5, n_classes=3, clip_len=4,
                     n_scales=2)
+# zero teacher-logit centres: z - 0.0 == z exactly, so the loss is uncentred
+ZERO_CENTERS = [np.zeros(DIMS.d_k)] * DIMS.n_scales
 
 
 def make_params(seed=0, trainable=True):
@@ -157,7 +159,8 @@ class TestMtlLoss:
         student, teacher = make_params(0), make_params(1, trainable=False)
         ws, ss, longs = self._clips(0)
         total, per_scale = mtl.mtl_loss_from_clips(ws, ss, longs[:1], student,
-                                                   teacher, 0.1, 0.04)
+                                                   teacher, 0.1, 0.04,
+                                                   ZERO_CENTERS)
         assert total.item() == pytest.approx(per_scale[0][0], abs=1e-12)
 
     def test_matched_case_equals_teacher_entropy(self):
@@ -166,7 +169,8 @@ class TestMtlLoss:
         rng = np.random.default_rng(5)
         clip = make_clip(rng.normal(size=(4, 4)))
         total, per_scale = mtl.mtl_loss_from_clips(clip, clip, [clip, clip],
-                                                   student, teacher, 0.1, 0.1)
+                                                   student, teacher, 0.1, 0.1,
+                                                   ZERO_CENTERS)
         for n, (loss_n, att) in enumerate(per_scale, start=1):
             assert att == pytest.approx(1.0, abs=1e-12)
             zk = bb.temporal_embed(teacher, n,
@@ -181,7 +185,7 @@ class TestMtlLoss:
         ws, ss, longs = self._clips(1)
         student.zero_grad()
         total, _ = mtl.mtl_loss_from_clips(ws, ss, longs, student, teacher,
-                                           0.1, 0.04)
+                                           0.1, 0.04, ZERO_CENTERS)
         total.backward()
         assert all(p.grad is None for p in teacher.params.values())
         assert any(p.grad is not None and np.abs(p.grad).max() > 0

@@ -148,7 +148,7 @@ class TestMemoryBankProperties:
             # record at bank position i a positive
             scores = np.zeros(len(cands) + 1)
             scores[k] = scores[-1] = 1.0
-            sel = acl.select(bank, class_id, None, f_p, scores, 0.5)
+            sel = acl.select(bank, class_id, f_p, scores, 0.5)
             assert len(sel.positives) == 2
             np.testing.assert_array_equal(sel.positives[0],
                                           bank.embeddings[i])
@@ -200,8 +200,8 @@ class TestMemoryBankProperties:
             v = unit(rng)
             bank.push(v, v, lab)
         f_p = unit(rng)
-        chosen = acl.select(bank, 0, None, f_p, np.array([1.0, 0.0, 1.0]), 0.5)
-        fallback = acl.select(bank, 0, None, f_p, None, 0.5)
+        chosen = acl.select(bank, 0, f_p, np.array([1.0, 0.0, 1.0]), 0.5)
+        fallback = acl.select(bank, 0, f_p, None, 0.5)
         before = [(s.positives.copy(), s.negatives.copy())
                   for s in (chosen, fallback)]
         cands = acl.build_candidates(bank, 0, f_p)

@@ -398,7 +398,7 @@ class TestRunTraining:
                                d_in=4, video_len=40, noise=0.05, seed=0)
         cfg = tr.TrainConfig(seed=0, clip_len=4, strides=(2, 4, 8), d_h=6,
                              d_e=4, d_k=5, bank_capacity=16, epochs=2,
-                             b_l=1, b_u=2, checkpoint_every=1)
+                             b_l=1, b_u=2)
         out1, out2 = tmp_path / "a", tmp_path / "b"
         s1 = tr.run_training(cfg, ds_cfg, str(out1), eval_per_class=2)
         s2 = tr.run_training(cfg, ds_cfg, str(out2), eval_per_class=2)
@@ -420,6 +420,28 @@ class TestRunTraining:
         lines = (tmp_path / "r" / "metrics.csv").read_text().strip().splitlines()
         steps_per_epoch = -(-8 // 2)  # 8 unlabeled, b_u=2
         assert len(lines) == 1 + cfg.epochs * steps_per_epoch
+
+    def test_checkpoint_schedule(self, tmp_path, monkeypatch):
+        # saved after every CHECKPOINT_EVERY-th epoch and after the last one
+        ds_cfg = DatasetConfig(n_classes=4, per_class=4, labeled_fraction=0.5,
+                               d_in=4, video_len=40, noise=0.05, seed=0)
+        cfg = tr.TrainConfig(seed=0, clip_len=4, strides=(2, 4, 8), d_h=6,
+                             d_e=4, d_k=5, bank_capacity=16, epochs=5,
+                             b_l=1, b_u=2, use_acl=False, use_mtl=False)
+        evaluated, saved = [], []
+        real_evaluate = tr.evaluate
+
+        def counting_evaluate(*args):
+            evaluated.append(1)
+            return real_evaluate(*args)
+
+        monkeypatch.setattr(tr, "evaluate", counting_evaluate)
+        # two evaluations (student, teacher) per epoch precede its save
+        monkeypatch.setattr(tr.bb, "save_checkpoint",
+                            lambda *args: saved.append(len(evaluated) // 2))
+        monkeypatch.setattr(tr, "CHECKPOINT_EVERY", 2)
+        tr.run_training(cfg, ds_cfg, str(tmp_path / "r"), eval_per_class=2)
+        assert saved == [2, 4, 5]
 
     def test_closed_gate_reports_nan_and_all_sample_accuracy(self, tmp_path,
                                                              monkeypatch):
