@@ -7,8 +7,11 @@ the implementations they check.
 
 The gradient checks perturb each student parameter entry once per seed and
 read all five losses from that one pair of forward passes. The EM oracle
-runs its 50 restarts as one batch; each restart follows the same arithmetic
-as it would alone, so the oracle's result does not depend on the batching.
+runs its 50 restarts as one (R, 2, n) batch, components-major, with each
+restart's points contiguous on the last axis. Its sums over points are
+sequential (cumsum) and each restart's log-likelihood is a pairwise sum over
+its row, so every restart follows the same arithmetic as it would alone and
+the oracle's result does not depend on the batching.
 """
 
 from __future__ import annotations
@@ -81,9 +84,17 @@ def oracle_em(points: np.ndarray, n_restarts: int = 50, seed: int = 0):
     """Independent 2-component EM with random restarts; returns the best
     log-likelihood found.
 
-    All restarts run as one (R, n, 2) batch. Each draws its initial means
-    in turn from one generator, and leaves the batch once its log-likelihood
-    changes by less than 1e-10, or after 500 iterations.
+    All restarts run as one (R, 2, n) batch: each restart's points lie
+    contiguous on the last axis, and its two components are the slices
+    [:, 0] and [:, 1]. Each restart draws its initial means in turn from
+    one generator, and leaves the batch once its log-likelihood changes by
+    less than 1e-10, or after 500 iterations.
+
+    Each restart follows the arithmetic of an (n, 2) loop run alone, so the
+    result does not depend on the batching: the sums over points (nk,
+    sum r*x and sum r*(x - mu)**2) are sequential (cumsum), each restart's
+    log-likelihood is numpy's pairwise sum over its row, and the max and sum
+    over the two components are np.maximum(lp0, lp1) and e0 + e1.
     """
     x = np.asarray(points, dtype=np.float64)
     rng = np.random.default_rng(seed)
@@ -94,13 +105,13 @@ def oracle_em(points: np.ndarray, n_restarts: int = 50, seed: int = 0):
     prev = np.full(n_restarts, -np.inf)
     final = np.empty(n_restarts)     # the log-likelihood each restart returns
     rows = np.arange(n_restarts)     # the restart each batch row runs
-    xs = x[None, :, None]
     for _ in range(500):
-        log_p = np.log(w[:, None, :]) - 0.5 * (
-            np.log(2 * np.pi * var[:, None, :])
-            + (xs - mu[:, None, :]) ** 2 / var[:, None, :])
-        m = log_p.max(axis=2, keepdims=True)
-        norm = m[..., 0] + np.log(np.exp(log_p - m).sum(axis=2))
+        log_p = np.log(w[..., None]) - 0.5 * (
+            np.log(2 * np.pi * var[..., None])
+            + (x - mu[..., None]) ** 2 / var[..., None])
+        m = np.maximum(log_p[:, 0], log_p[:, 1])
+        e = np.exp(log_p - m[:, None])
+        norm = m + np.log(e[:, 0] + e[:, 1])
         ll = norm.sum(axis=1)
         done = np.abs(ll - prev) < 1e-10
         final[rows[done]] = prev[done]
@@ -109,13 +120,12 @@ def oracle_em(points: np.ndarray, n_restarts: int = 50, seed: int = 0):
         if not rows.size:
             break
         log_p, norm = log_p[go], norm[go]
-        # a sum over axis 1 adds one point after another, as the sum over
-        # axis 0 of one restart's (n, 2) array does, so no bits change
-        r = np.exp(log_p - norm[..., None])
-        nk = r.sum(axis=1)
-        mu = (r * xs).sum(axis=1) / nk
-        var = np.maximum((r * (xs - mu[:, None, :]) ** 2).sum(axis=1) / nk,
-                         1e-6)
+        r = np.exp(log_p - norm[:, None])
+        nk = np.cumsum(r, axis=-1)[..., -1]
+        mu = np.cumsum(r * x, axis=-1)[..., -1] / nk
+        var = np.maximum(
+            np.cumsum(r * (x - mu[..., None]) ** 2, axis=-1)[..., -1] / nk,
+            1e-6)
         w = nk / x.size
     final[rows] = prev
     best = -np.inf
@@ -124,17 +134,24 @@ def oracle_em(points: np.ndarray, n_restarts: int = 50, seed: int = 0):
     return best
 
 
+def oracle_dataset(i: int, n_datasets: int = 20) -> np.ndarray:
+    """Set i of the n_datasets oracle sets: 50 + 50 points around
+    0.5 -+ sep/2 (sd 0.05, clipped to [-1, 1]) from seed 1000 + i, with the
+    separation sep rising from 0.1 to 0.7 over the sets."""
+    rng = np.random.default_rng(1000 + i)
+    sep = 0.1 + 0.6 * i / max(1, n_datasets - 1)
+    lo, hi = 0.5 - sep / 2, 0.5 + sep / 2
+    pts = np.concatenate([rng.normal(lo, 0.05, 50), rng.normal(hi, 0.05, 50)])
+    return np.clip(pts, -1.0, 1.0)
+
+
 def gmm_oracle_checks(n_datasets: int = 20) -> List[CheckResult]:
     """fit_gmm must reach the restart-oracle's log-likelihood minus 1e-3 on
     seeded two-cluster datasets with separations from 0.1 to 0.7."""
     results = []
     worst_gap = -np.inf
     for i in range(n_datasets):
-        rng = np.random.default_rng(1000 + i)
-        sep = 0.1 + 0.6 * i / max(1, n_datasets - 1)
-        lo, hi = 0.5 - sep / 2, 0.5 + sep / 2
-        pts = np.concatenate([rng.normal(lo, 0.05, 50), rng.normal(hi, 0.05, 50)])
-        pts = np.clip(pts, -1.0, 1.0)
+        pts = oracle_dataset(i, n_datasets)
         fit = gmm.fit_gmm(pts)
         gap = oracle_em(pts, seed=i) - gmm.log_likelihood(fit, pts)
         worst_gap = max(worst_gap, gap)

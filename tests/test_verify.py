@@ -1,9 +1,11 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqssl import verify
+from seqssl import gmm, verify
 
 
 def reference_oracle_em(points, n_restarts=50, seed=0):
@@ -66,13 +68,24 @@ class TestOracleEm:
         assert None not in stops and len(set(stops)) > 1
         assert verify.oracle_em(points, n_restarts=8, seed=3) == want
 
+    def test_independent_of_gmm(self, monkeypatch):
+        # the oracle is written against the formulas: it must give the same
+        # result with every function of the module it checks broken
+        def broken(*args, **kwargs):
+            raise AssertionError("the EM oracle called seqssl.gmm")
+
+        patched = [name for name, f in vars(gmm).items()
+                   if inspect.isfunction(f) and f.__module__ == gmm.__name__]
+        assert {"fit_gmm", "fit_gmm_many", "log_likelihood"} <= set(patched)
+        for name in patched:
+            monkeypatch.setattr(gmm, name, broken)
+        points = two_clusters(3, 0.6)
+        want, _ = reference_oracle_em(points, n_restarts=8, seed=3)
+        assert verify.oracle_em(points, n_restarts=8, seed=3) == want
+
     @pytest.mark.parametrize("i", [0, 10, 19])
     def test_verify_datasets(self, i):
-        rng = np.random.default_rng(1000 + i)
-        sep = 0.1 + 0.6 * i / 19
-        points = np.clip(np.concatenate([rng.normal(0.5 - sep / 2, 0.05, 50),
-                                         rng.normal(0.5 + sep / 2, 0.05, 50)]),
-                         -1.0, 1.0)
+        points = verify.oracle_dataset(i)
         assert verify.oracle_em(points, seed=i) == \
             reference_oracle_em(points, seed=i)[0]
 
