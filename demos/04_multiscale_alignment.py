@@ -36,7 +36,7 @@ weak_short = weak_augment(sample.short_clip, rng, frames)
 strong_short = strong_augment(sample.short_clip, rng, frames)
 loss, per_scale = mtl.mtl_loss_from_clips(
     weak_short, strong_short, sample.long_clips, state.student, state.teacher,
-    cfg.tau_s, cfg.tau_t, state.mtl_centers)
+    tr.TAU_S, tr.TAU_T, state.mtl_centers)
 print(f"alignment loss (mean over scales): {loss.item():.4f}")
 for n, (scale_loss, mean_attn) in enumerate(per_scale, start=1):
     stride = cfg.strides[n]

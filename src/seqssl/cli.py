@@ -95,11 +95,8 @@ RANGES = {
     "train": (
         (("epochs", "b_l", "b_u", "clip_len", "bank_capacity", "d_h", "d_e",
           "d_k", "strides"), lambda v: v >= 1, "at least 1"),
-        (("tau", "tau_s", "tau_t"), lambda v: v > 0, "above 0"),
-        (("delta", "epsilon", "beta", "momentum", "ema_momentum"),
-         lambda v: 0 <= v <= 1, "in [0, 1]"),
-        (("lr", "weight_decay", "mu1", "mu2", "lr_drop_epochs"),
-         lambda v: 0 <= v < math.inf, "finite and at least 0"),
+        (("delta",), lambda v: 0 <= v <= 1, "in [0, 1]"),
+        (("mu1", "mu2"), lambda v: 0 <= v < math.inf, "finite and at least 0"),
     ),
     "dataset": (
         (("n_classes",), lambda v: v >= 2, "at least 2"),
@@ -137,9 +134,8 @@ def build_configs(spec: dict, seed_override=None):
     if seed_override is not None:
         seeds = [seed_override]
         _check_seeds(seeds)
-    for k in ("strides", "lr_drop_epochs"):
-        if k in train_kw:
-            train_kw[k] = tuple(train_kw[k])
+    if "strides" in train_kw:
+        train_kw["strides"] = tuple(train_kw["strides"])
     cfg = TrainConfig(**{**train_kw, "seed": seeds[0]})
     ds_cfg = DatasetConfig(**{"seed": seeds[0], **dataset_kw})
     # a short-term plus at least one long-term stride, a video long enough

@@ -41,10 +41,6 @@ class EmptyPositives(SeqsslError):
     pass
 
 
-class PrototypeMissing(SeqsslError):
-    pass
-
-
 class VideoTooShort(SeqsslError):
     pass
 

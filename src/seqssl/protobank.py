@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NotNormalized, PrototypeMissing
+from .errors import IndexOutOfRange, NotNormalized
 
 UNIT_TOL = 1e-6
 
@@ -31,11 +31,12 @@ class PrototypeTable:
             self.prototypes[class_id] = np.array(f_l, dtype=np.float64)
             self.initialized[class_id] = True
 
-    def get(self, class_id: int) -> np.ndarray:
+    def get(self, class_id: int) -> np.ndarray | None:
+        """The prototype of ``class_id``, or None before its first update."""
         if not 0 <= class_id < self.prototypes.shape[0]:
             raise IndexOutOfRange(f"class {class_id}")
         if not self.initialized[class_id]:
-            raise PrototypeMissing(f"class {class_id} has no prototype yet")
+            return None
         return self.prototypes[class_id]
 
 
@@ -70,7 +71,8 @@ class MemoryBank:
     def push(self, embedding: np.ndarray, score: np.ndarray,
              pseudo_label: int) -> None:
         for v in (embedding, score):
-            if abs(np.linalg.norm(v) - 1.0) > UNIT_TOL:
+            # written as "not <=" so that a NaN norm fails too
+            if not abs(np.linalg.norm(v) - 1.0) <= UNIT_TOL:
                 raise NotNormalized(f"norm {np.linalg.norm(v)}")
         rows = len(self._labels)
         if not self._embeddings.shape[1]:

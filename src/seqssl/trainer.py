@@ -40,28 +40,31 @@ from .synthgen import (DatasetConfig, SynthDataset, VideoRecord,
 CENTER_MOMENTUM = 0.9
 # a run writes checkpoint.json every CHECKPOINT_EVERY epochs and after its last
 CHECKPOINT_EVERY = 10
+# the paper's step hyperparameters that no spec sets
+TAU = 0.07             # temperature of the ACL InfoNCE loss
+EPSILON = 0.7          # ACL reliability threshold of positives and the anchor
+BETA = 0.9             # EMA momentum of the class prototypes
+TAU_S = 0.1            # MTL sharpening temperature of the student logits
+TAU_T = 0.04           # MTL sharpening temperature of the teacher logits
+LR = 0.005             # SGD base learning rate
+MOMENTUM = 0.9         # SGD momentum
+WEIGHT_DECAY = 0.001   # SGD weight decay
+LR_DROP_EPOCHS = (25, 28)  # epochs at which the learning rate drops tenfold
+EMA_MOMENTUM = 0.99    # EMA momentum of the teacher parameters
 
 
 @dataclass
 class TrainConfig:
+    """The spec's train options: the ones that ``verify``, the benchmark's
+    specs or ``ablate`` (``use_acl``/``use_mtl``) set."""
     delta: float = 0.3
-    tau: float = 0.07
-    tau_s: float = 0.1
-    tau_t: float = 0.04
-    epsilon: float = 0.7
-    beta: float = 0.9
     mu1: float = 1.0
     mu2: float = 1.0
     b_l: int = 1
     b_u: int = 5
     clip_len: int = 8
     strides: tuple = (8, 16, 32)
-    lr: float = 0.005
-    momentum: float = 0.9
-    weight_decay: float = 0.001
-    lr_drop_epochs: tuple = (25, 28)
     epochs: int = 30
-    ema_momentum: float = 0.99
     bank_capacity: int = 512
     seed: int = 0
     d_h: int = 64
@@ -78,7 +81,6 @@ class TrainConfig:
     def to_dict(self):
         d = dict(self.__dict__)
         d["strides"] = list(self.strides)
-        d["lr_drop_epochs"] = list(self.lr_drop_epochs)
         return d
 
 
@@ -179,9 +181,9 @@ def sgd_step(params: bb.ParamSet, velocity: dict, lr: float, momentum: float,
         p.data = p.data - lr * velocity[k]
 
 
-def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
-    drops = sum(1 for e in cfg.lr_drop_epochs if epoch >= e)
-    return cfg.lr * (0.1 ** drops)
+def lr_schedule(epoch: int) -> float:
+    drops = sum(1 for e in LR_DROP_EPOCHS if epoch >= e)
+    return LR * (0.1 ** drops)
 
 
 def prepare_step_plan(state: TrainerState, labeled_recs, unlabeled_recs,
@@ -228,7 +230,7 @@ def prepare_step_plan(state: TrainerState, labeled_recs, unlabeled_recs,
         for item in labeled_items:
             for clip in item.clips:
                 pooled = bb.encode(state.student, clip).pooled.data
-                state.protos.update(item.label, _unit(pooled), cfg.beta)
+                state.protos.update(item.label, _unit(pooled), BETA)
         for it in unlabeled_items:
             enc_p = bb.encode(state.teacher, it.weak_short)
             it.f_p = bb.spatial_embed(state.teacher, enc_p).data
@@ -239,12 +241,11 @@ def prepare_step_plan(state: TrainerState, labeled_recs, unlabeled_recs,
         # back where the pseudo-class has no prototype (scores None)
         scores = acl_mod.score_candidates([
             (acl_mod.build_candidates(state.bank, it.pseudo_label, it.f_score),
-             state.protos.get(it.pseudo_label)
-             if state.protos.initialized[it.pseudo_label] else None)
+             state.protos.get(it.pseudo_label))
             for it in unlabeled_items])
         for it, it_scores in zip(unlabeled_items, scores):
             it.selection = acl_mod.select(state.bank, it.pseudo_label, it.f_p,
-                                          it_scores, cfg.epsilon)
+                                          it_scores, EPSILON)
             it.gamma = it.selection.anchor_reliability
 
     # the plan uses the centers as they stood before this step; then the
@@ -297,14 +298,13 @@ def compute_losses(student: bb.ParamSet, teacher: bb.ParamSet, plan: StepPlan,
             loss_u = ad.add(loss_u, ad.scale(ce, item.gamma))
         if item.selection is not None:
             anchor = bb.spatial_embed(student, enc_strong)
-            loss_acl = ad.add(loss_acl, acl_mod.acl_loss(anchor, item.selection,
-                                                         cfg.tau))
+            loss_acl = ad.add(loss_acl,
+                              acl_mod.acl_loss(anchor, item.selection, TAU))
             n_anchors += 1
         if cfg.use_mtl:
             term, _ = mtl_loss_from_clips(item.weak_short, item.strong_short,
                                           item.weak_longs, student, teacher,
-                                          cfg.tau_s, cfg.tau_t,
-                                          plan.mtl_centers)
+                                          TAU_S, TAU_T, plan.mtl_centers)
             mtl_terms = ad.add(mtl_terms, term)
 
     n_u = max(1, len(plan.unlabeled))
@@ -330,9 +330,9 @@ def train_step(state: TrainerState, labeled_recs, unlabeled_recs, epoch: int,
         raise NonFiniteLoss(f"step {state.global_step} (epoch {epoch}): "
                             f"non-finite total loss {total.item()!r} ({named})")
     total.backward()
-    sgd_step(state.student, state.velocity, lr_schedule(epoch, cfg),
-             cfg.momentum, cfg.weight_decay)
-    bb.ema_update(state.teacher, state.student, cfg.ema_momentum)
+    sgd_step(state.student, state.velocity, lr_schedule(epoch), MOMENTUM,
+             WEIGHT_DECAY)
+    bb.ema_update(state.teacher, state.student, EMA_MOMENTUM)
 
     if cfg.use_acl:
         for item in plan.unlabeled:

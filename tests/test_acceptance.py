@@ -154,7 +154,7 @@ def test_criterion_6_teacher_ema_exactness():
     ds = SynthDataset(ds_cfg)
     state = tr.TrainerState(cfg, ds)
     rng = np.random.default_rng(0)
-    m = cfg.ema_momentum
+    m = tr.EMA_MOMENTUM
     for step in range(8):
         prev = {k: p.data.copy() for k, p in state.teacher.params.items()}
         lab = [ds.labeled[(step * cfg.b_l + i) % len(ds.labeled)]

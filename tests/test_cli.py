@@ -23,18 +23,25 @@ TINY_NO_DATASET_SEED = {**TINY, "dataset": {
     k: v for k, v in TINY["dataset"].items() if k != "seed"}}
 
 
+# the paper's step hyperparameters that are trainer constants: a spec that
+# names one is refused as naming an unknown option
+FIXED_HYPERPARAMETERS = ("tau", "tau_s", "tau_t", "epsilon", "beta", "lr",
+                         "momentum", "weight_decay", "lr_drop_epochs",
+                         "ema_momentum")
+
+
 # (section, key, value): each makes TINY an invalid config; a key of None
 # replaces the whole section with the value
 INVALID_OPTIONS = [
     ("train", "strides", [2]),
     ("train", "strides", [2, 4, 8, 16]),
     ("train", "strides", [2, "4", 8]),
-    ("train", "lr_drop_epochs", 25),
+    ("train", "strides", 8),
     ("train", "epochs", "1"),
     ("train", "epochs", True),
     ("train", "epochs", 1.0),
-    ("train", "lr", "0.1"),
-    ("train", "lr", False),
+    ("train", "delta", "0.3"),
+    ("train", "mu1", False),
     ("train", "use_acl", 1),
     ("ablation", "use_mtl", "yes"),
     ("dataset", "n_classes", 7),
@@ -156,7 +163,10 @@ class TestConfigErrors:
         rc = cli.main(["train", "--config", write_spec(tmp_path, spec),
                        "--out", str(out)])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("config error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        if key in FIXED_HYPERPARAMETERS:
+            assert err == f"config error: unknown train option: {key}\n"
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("command", ["train", "ablate", "gen-data"])
@@ -308,11 +318,13 @@ class TestTrain:
         for name in ("metrics.csv", "epochs.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    # the huge learning rate overflows on purpose
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_exits_1_and_saves_no_checkpoint(
-            self, tmp_path, capsys):
-        spec = {**TINY, "train": {**TINY["train"], "lr": 1e6}}
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(tr, "LR", 1e6)
         out = tmp_path / "run"
-        rc = cli.main(["train", "--config", write_spec(tmp_path, spec),
+        rc = cli.main(["train", "--config", write_spec(tmp_path, TINY),
                        "--out", str(out)])
         assert rc == 1
         assert "non-finite total loss" in capsys.readouterr().err

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqssl import acl
-from seqssl.errors import IndexOutOfRange, NotNormalized, PrototypeMissing
+from seqssl.errors import IndexOutOfRange, NotNormalized
 from seqssl.protobank import MemoryBank, PrototypeTable
 
 
@@ -38,8 +38,7 @@ class TestPrototypeTable:
 
     def test_missing_and_bounds(self):
         table = PrototypeTable(2, 2)
-        with pytest.raises(PrototypeMissing):
-            table.get(0)
+        assert table.get(0) is None
         with pytest.raises(IndexOutOfRange):
             table.update(5, np.array([1.0, 0.0]), 0.9)
 
@@ -70,11 +69,12 @@ class TestMemoryBank:
 
     def test_not_normalized(self):
         bank = MemoryBank(4)
-        unit_v, long_v = np.array([1.0, 0.0]), np.array([1.0, 1.0])
-        with pytest.raises(NotNormalized):
-            bank.push(long_v, unit_v, 0)
-        with pytest.raises(NotNormalized):
-            bank.push(unit_v, long_v, 0)
+        unit_v = np.array([1.0, 0.0])
+        for bad in (np.array([1.0, 1.0]), np.full(2, np.nan)):
+            with pytest.raises(NotNormalized):
+                bank.push(bad, unit_v, 0)
+            with pytest.raises(NotNormalized):
+                bank.push(unit_v, bad, 0)
         assert len(bank) == 0
 
     def test_capacity_exact(self):

@@ -96,13 +96,12 @@ class TestSgdStep:
 
 class TestLrSchedule:
     def test_paper_values(self):
-        cfg = tr.TrainConfig()
-        assert tr.lr_schedule(0, cfg) == 0.005
-        assert tr.lr_schedule(24, cfg) == 0.005
-        assert tr.lr_schedule(25, cfg) == pytest.approx(0.0005)
-        assert tr.lr_schedule(27, cfg) == pytest.approx(0.0005)
-        assert tr.lr_schedule(28, cfg) == pytest.approx(0.00005)
-        assert tr.lr_schedule(29, cfg) == pytest.approx(0.00005)
+        assert tr.lr_schedule(0) == 0.005
+        assert tr.lr_schedule(24) == 0.005
+        assert tr.lr_schedule(25) == pytest.approx(0.0005)
+        assert tr.lr_schedule(27) == pytest.approx(0.0005)
+        assert tr.lr_schedule(28) == pytest.approx(0.00005)
+        assert tr.lr_schedule(29) == pytest.approx(0.00005)
 
 
 class TestLosses:
@@ -187,7 +186,7 @@ class TestTrainStep:
         for s in range(3):
             t_prev = {k: p.data.copy() for k, p in state.teacher.params.items()}
             tr.train_step(state, ds.labeled[:2], ds.unlabeled[3*s:3*s+3], 0, rng)
-            m = cfg.ema_momentum
+            m = tr.EMA_MOMENTUM
             for k, p in state.teacher.params.items():
                 expected = m * t_prev[k] + (1 - m) * state.student.params[k].data
                 np.testing.assert_allclose(p.data, expected, atol=1e-12)
@@ -202,7 +201,7 @@ class TestTrainStep:
             for it in plan.unlabeled:
                 if it.selection is not None:
                     assert it.selection.used_fallback == \
-                        (it.selection.anchor_reliability <= cfg.epsilon)
+                        (it.selection.anchor_reliability <= tr.EPSILON)
 
 
 class TestAclPlan:
@@ -321,7 +320,7 @@ class TestSwitchedOffWork:
                              unit(r.normal(size=cfg.d_h)),
                              int(r.integers(ds.cfg.n_classes)))
         for c in range(ds.cfg.n_classes):
-            filled.protos.update(c, unit(r.normal(size=cfg.d_h)), cfg.beta)
+            filled.protos.update(c, unit(r.normal(size=cfg.d_h)), tr.BETA)
         bank = (filled.bank.embeddings.copy(), filled.bank.scores.copy(),
                 filled.bank.labels.copy())
         protos = filled.protos.prototypes.copy()
