@@ -9,8 +9,8 @@ import numpy as np
 from seqssl import mtl
 from seqssl import trainer as tr
 from seqssl.backbone import encode
-from seqssl.synthgen import (DatasetConfig, SynthDataset, strong_augment,
-                             weak_augment)
+from seqssl.synthgen import (DatasetConfig, SynthDataset, clip_span,
+                             strong_augment, weak_augment)
 
 ds = SynthDataset(DatasetConfig(seed=0))
 cfg = tr.TrainConfig(seed=0)
@@ -19,23 +19,22 @@ rng = np.random.default_rng(4)
 
 rec = ds.unlabeled[0]
 frames = ds.frames(rec)
-sample = mtl.sample_multiscale(frames, cfg.strides, cfg.clip_len, rng)
-spans = [(c.stride, (cfg.clip_len - 1) * c.stride + 1)
-         for c in [sample.short_clip] + sample.long_clips]
+clips = mtl.sample_multiscale(frames, cfg.strides, cfg.clip_len, rng)
+spans = [(c.stride, clip_span(cfg.clip_len, c.stride)) for c in clips]
 print(f"clip strides and frame spans: {spans}")
 
 # Calibration: identical token sequences get attention exactly 1 everywhere;
 # unrelated content is scaled down before alignment.
-q = encode(state.student, sample.short_clip).tokens
+q = encode(state.student, clips[0]).tokens.data
 k_same = mtl.calibrate(q, q)
-print(f"self-calibration attention  : {k_same.attention.data.round(6)}")
+print(f"self-calibration attention  : {k_same.attention.round(6)}")
 
 # the teacher logits are centred by the state's running centres (zero at
 # the start of training)
-weak_short = weak_augment(sample.short_clip, rng, frames)
-strong_short = strong_augment(sample.short_clip, rng, frames)
+weak_short = weak_augment(clips[0], rng, frames)
+strong_short = strong_augment(clips[0], rng, frames)
 loss, per_scale = mtl.mtl_loss_from_clips(
-    weak_short, strong_short, sample.long_clips, state.student, state.teacher,
+    [weak_short] + clips[1:], strong_short, state.student, state.teacher,
     tr.TAU_S, tr.TAU_T, state.mtl_centers)
 print(f"alignment loss (mean over scales): {loss.item():.4f}")
 for n, (scale_loss, mean_attn) in enumerate(per_scale, start=1):

@@ -296,44 +296,6 @@ def cross_entropy(x, target):
     return _node(-np.log(x.data[target]), (x,), bwd)
 
 
-def rowwise_cosine(q, k):
-    """Per-row cosine similarity of two T x D tensors, returning a T-vector."""
-    q, k = as_tensor(q), as_tensor(k)
-    if q.data.ndim != 2 or q.data.shape != k.data.shape:
-        raise ShapeMismatch(f"rowwise_cosine: {q.shape} vs {k.shape}")
-    nq = np.linalg.norm(q.data, axis=1)
-    nk = np.linalg.norm(k.data, axis=1)
-    if nq.min() < ETA_NORM or nk.min() < ETA_NORM:
-        raise DegenerateVector("rowwise_cosine on near-zero row")
-    c = (q.data * k.data).sum(axis=1) / (nq * nk)
-
-    def bwd(g):
-        if q.requires_grad:
-            q._accum(g[:, None] * (k.data / (nq * nk)[:, None]
-                                   - (c / (nq * nq))[:, None] * q.data))
-        if k.requires_grad:
-            k._accum(g[:, None] * (q.data / (nq * nk)[:, None]
-                                   - (c / (nk * nk))[:, None] * k.data))
-
-    return _node(c, (q, k), bwd)
-
-
-def scale_rows(a, w):
-    """Multiply row t of a 2-D tensor by scalar weight w[t]."""
-    a, w = as_tensor(a), as_tensor(w)
-    if (a.data.ndim != 2 or w.data.ndim != 1
-            or a.data.shape[0] != w.data.shape[0]):
-        raise ShapeMismatch(f"scale_rows: {a.shape} vs {w.shape}")
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(g * w.data[:, None])
-        if w.requires_grad:
-            w._accum((g * a.data).sum(axis=1))
-
-    return _node(a.data * w.data[:, None], (a, w), bwd)
-
-
 def gradcheck_params(loss_fn, params, eps=1e-5):
     """Max relative errors between backward() gradients and central
     differences, over every entry of every tensor in ``params``.

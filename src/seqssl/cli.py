@@ -23,8 +23,8 @@ from dataclasses import replace
 
 from .backbone import write_atomic
 from .errors import ConfigError
-from .synthgen import (DatasetConfig, SynthDataset, difficulty_check,
-                       labeled_per_class)
+from .synthgen import (DatasetConfig, SynthDataset, clip_span,
+                       difficulty_check, labeled_per_class)
 from .trainer import TrainConfig, run_training
 from .verify import run_verification
 
@@ -143,7 +143,7 @@ def build_configs(spec: dict, seed_override=None):
     if len(cfg.strides) < 2:
         raise ConfigError(f"train option strides needs at least 2 entries, "
                           f"got {list(cfg.strides)}")
-    need = (cfg.clip_len - 1) * max(cfg.strides) + 1
+    need = clip_span(cfg.clip_len, max(cfg.strides))
     if ds_cfg.video_len < need:
         raise ConfigError(f"dataset option video_len must be at least {need} "
                           f"for clip_len {cfg.clip_len} at stride "

@@ -11,49 +11,49 @@ import numpy as np
 
 from . import autodiff as ad
 from .backbone import Clip, ParamSet, encode, temporal_embed
-from .errors import VideoTooShort
-from .synthgen import extract_clip
-
-
-@dataclass
-class MultiScaleSample:
-    short_clip: Clip
-    long_clips: List[Clip]
+from .errors import DegenerateVector, ShapeMismatch, VideoTooShort
+from .synthgen import clip_span, extract_clip
 
 
 @dataclass
 class CalibrationResult:
-    attention: ad.Tensor          # (T,)
-    calibrated_tokens: ad.Tensor  # (T, d_h)
+    attention: np.ndarray          # (T,)
+    calibrated_tokens: np.ndarray  # (T, d_h)
 
 
 def sample_multiscale(video_frames: np.ndarray, strides, clip_len: int,
-                      rng: np.random.Generator) -> MultiScaleSample:
-    """One short-term clip (first stride) plus long-term clips (the rest),
-    each from an independent random start offset."""
+                      rng: np.random.Generator) -> List[Clip]:
+    """One clip per stride, each from an independent random start offset:
+    the short-term clip (first stride) first, then the long-term clips."""
     length = video_frames.shape[0]
-    need = (clip_len - 1) * max(strides) + 1
+    need = clip_span(clip_len, max(strides))
     if length < need:
         raise VideoTooShort(f"video length {length}, need {need}")
     clips = []
     for stride in strides:
-        span = (clip_len - 1) * stride + 1
-        start = int(rng.integers(0, length - span + 1))
+        start = int(rng.integers(0, length - clip_span(clip_len, stride) + 1))
         clips.append(extract_clip(video_frames, start, stride, clip_len))
-    return MultiScaleSample(short_clip=clips[0], long_clips=clips[1:])
+    return clips
 
 
-def calibrate(query_tokens, key_tokens) -> CalibrationResult:
+def calibrate(query_tokens: np.ndarray,
+              key_tokens: np.ndarray) -> CalibrationResult:
     """Per-frame cosine attention between query and key token rows; each key
     row is multiplied by its signed cosine to the matching query row. Frames
     orthogonal to the query go to zero, and anti-correlated frames are
     sign-flipped at full weight rather than suppressed (the attention is not
-    clamped at zero). Gradient flows into the query; the key side is a
-    teacher constant when the caller passes it detached."""
-    q, k = ad.as_tensor(query_tokens), ad.as_tensor(key_tokens)
-    attention = ad.rowwise_cosine(q, k)
+    clamped at zero). Both sides are teacher constants, so this is plain
+    array arithmetic with no tape."""
+    q, k = query_tokens, key_tokens
+    if q.ndim != 2 or q.shape != k.shape:
+        raise ShapeMismatch(f"calibrate: {q.shape} vs {k.shape}")
+    nq = np.linalg.norm(q, axis=1)
+    nk = np.linalg.norm(k, axis=1)
+    if nq.min() < ad.ETA_NORM or nk.min() < ad.ETA_NORM:
+        raise DegenerateVector("calibrate on near-zero row")
+    attention = (q * k).sum(axis=1) / (nq * nk)
     return CalibrationResult(attention=attention,
-                             calibrated_tokens=ad.scale_rows(k, attention))
+                             calibrated_tokens=k * attention[:, None])
 
 
 def alignment_loss(student_logits, teacher_logits, tau_s: float,
@@ -65,29 +65,31 @@ def alignment_loss(student_logits, teacher_logits, tau_s: float,
     return ad.scale(ad.dot(p_k, ad.log(p_q)), -1.0)
 
 
-def teacher_scale_logits(teacher: ParamSet, weak_short: Clip,
-                         weak_longs: List[Clip]):
+def teacher_scale_logits(teacher: ParamSet, weak: List[Clip]):
     """Uncentred teacher logits of the calibrated long-term tokens, one
-    (logits, calibration) pair per long-term scale.
+    (logits, calibration) pair per long-term scale. ``weak`` holds the weak
+    views, short-term clip first.
 
     The calibration query is the teacher's view of the short clip: the whole
     target side stays constant in student parameters, so alignment cannot be
-    gamed by steering the attention instead of the representation.
+    gamed by steering the attention instead of the representation, and the
+    calibration runs on the teacher's token arrays.
     """
-    q_tokens = encode(teacher, weak_short).tokens
+    q_tokens = encode(teacher, weak[0]).tokens.data
     out = []
-    for n, long_clip in enumerate(weak_longs, start=1):
-        calib = calibrate(q_tokens, encode(teacher, long_clip).tokens)
+    for n, long_clip in enumerate(weak[1:], start=1):
+        calib = calibrate(q_tokens, encode(teacher, long_clip).tokens.data)
         out.append((temporal_embed(teacher, n, calib.calibrated_tokens).data,
                     calib))
     return out
 
 
-def mtl_loss_from_clips(weak_short: Clip, strong_short: Clip,
-                        weak_longs: List[Clip], student: ParamSet,
-                        teacher: ParamSet, tau_s: float, tau_t: float,
-                        centers):
-    """MTL loss from already-augmented clips.
+def mtl_loss_from_clips(weak: List[Clip], strong_short: Clip,
+                        student: ParamSet, teacher: ParamSet, tau_s: float,
+                        tau_t: float, centers):
+    """MTL loss from already-augmented clips: ``weak`` holds the weak views,
+    short-term clip first, and ``strong_short`` is the strong view of the
+    short-term clip.
 
     `centers` (one vector per scale) is subtracted from the teacher logits
     before sharpening. It must be the running mean of those same logits,
@@ -104,12 +106,12 @@ def mtl_loss_from_clips(weak_short: Clip, strong_short: Clip,
     qstar_tokens = encode(student, strong_short).tokens    # aligned student repr
     losses = []
     per_scale = []
-    for n, (z_k, calib) in enumerate(
-            teacher_scale_logits(teacher, weak_short, weak_longs), start=1):
+    for n, (z_k, calib) in enumerate(teacher_scale_logits(teacher, weak),
+                                     start=1):
         z_q = temporal_embed(student, n, qstar_tokens)
         loss_n = alignment_loss(z_q, z_k - centers[n - 1], tau_s, tau_t)
         losses.append(loss_n)
-        per_scale.append((loss_n.item(), float(calib.attention.data.mean())))
+        per_scale.append((loss_n.item(), float(calib.attention.mean())))
     total = losses[0]
     for loss_n in losses[1:]:
         total = ad.add(total, loss_n)

@@ -27,8 +27,6 @@ import numpy as np
 from .backbone import Clip
 from .errors import ConfigError, VideoTooShort
 
-MOTIF_KINDS = ("sin", "square", "tri", "chirp")
-
 
 @dataclass
 class DatasetConfig:
@@ -179,9 +177,14 @@ class SynthDataset:
         }
 
 
+def clip_span(clip_len: int, stride: int) -> int:
+    """Number of video frames a clip of clip_len frames at stride covers."""
+    return (clip_len - 1) * stride + 1
+
+
 def extract_clip(frames: np.ndarray, start: int, stride: int,
                  clip_len: int) -> Clip:
-    need = (clip_len - 1) * stride + 1
+    need = clip_span(clip_len, stride)
     if start < 0 or start + need > frames.shape[0]:
         raise VideoTooShort(
             f"start {start}, span {need}, video length {frames.shape[0]}")
@@ -199,7 +202,7 @@ def weak_augment(clip: Clip, rng: np.random.Generator,
     frames = clip.frames
     start = clip.start
     if jitter != 0:
-        need = (clip.frames.shape[0] - 1) * clip.stride + 1
+        need = clip_span(clip.frames.shape[0], clip.stride)
         new_start = start + jitter
         if 0 <= new_start and new_start + need <= video_frames.shape[0]:
             start = new_start

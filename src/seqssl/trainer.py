@@ -32,7 +32,7 @@ from .errors import EmptyBatch, EmptyDataset, NonFiniteLoss
 from .mtl import (mtl_loss_from_clips, sample_multiscale,
                   teacher_scale_logits)
 from .protobank import MemoryBank, PrototypeTable
-from .synthgen import (DatasetConfig, SynthDataset, VideoRecord,
+from .synthgen import (DatasetConfig, SynthDataset, VideoRecord, clip_span,
                        extract_clip, strong_augment, weak_augment)
 
 # momentum of the running center of teacher temporal logits (anti-collapse
@@ -108,9 +108,8 @@ class LabeledItem:
 
 @dataclass
 class UnlabeledItem:
-    weak_short: bb.Clip
+    weak: List[bb.Clip]     # weak-augmented views: short clip first, then longs
     strong_short: bb.Clip
-    weak_longs: List[bb.Clip]
     pseudo_label: int
     gate: bool
     true_label: int
@@ -156,11 +155,9 @@ class TrainerState:
         self.global_step = 0
 
 
-def fused_pseudo_label(teacher: bb.ParamSet, weak_short: bb.Clip,
-                       weak_longs: List[bb.Clip]):
+def fused_pseudo_label(teacher: bb.ParamSet, clips: List[bb.Clip]):
     """Argmax of the summed teacher predictions over all clips; ties go to
     the lowest class index (np.argmax convention)."""
-    clips = [weak_short] + list(weak_longs)
     per_clip = [bb.classify(teacher, bb.encode(teacher, c)).data for c in clips]
     fused = np.sum(per_clip, axis=0)
     y_hat = int(np.argmax(fused))
@@ -201,24 +198,24 @@ def prepare_step_plan(state: TrainerState, labeled_recs, unlabeled_recs,
         frames = ds.frames(rec)
         # labeled videos contribute every stride's view: with so few labels,
         # the supervised term is what first carves the confusable pairs apart
-        sample = sample_multiscale(frames, cfg.strides, cfg.clip_len, rng)
-        clips = [weak_augment(c, rng, frames)
-                 for c in [sample.short_clip] + sample.long_clips]
+        clips = [weak_augment(c, rng, frames) for c in sample_multiscale(
+            frames, cfg.strides, cfg.clip_len, rng)]
         labeled_items.append(LabeledItem(clips=clips, label=rec.class_id))
 
     unlabeled_items = []
     for rec in unlabeled_recs:
         frames = ds.frames(rec)
-        sample = sample_multiscale(frames, cfg.strides, cfg.clip_len, rng)
-        weak_short = weak_augment(sample.short_clip, rng, frames)
-        strong_short = strong_augment(sample.short_clip, rng, frames)
-        weak_longs = [weak_augment(c, rng, frames) for c in sample.long_clips]
+        short, *longs = sample_multiscale(frames, cfg.strides, cfg.clip_len,
+                                          rng)
+        # the strong view is drawn between the weak short and weak long
+        # views, and this draw order fixes every later draw of the run
+        weak = [weak_augment(short, rng, frames)]
+        strong_short = strong_augment(short, rng, frames)
+        weak += [weak_augment(c, rng, frames) for c in longs]
 
-        y_hat, fused_max, _ = fused_pseudo_label(state.teacher, weak_short,
-                                                 weak_longs)
+        y_hat, fused_max, _ = fused_pseudo_label(state.teacher, weak)
         unlabeled_items.append(UnlabeledItem(
-            weak_short=weak_short, strong_short=strong_short,
-            weak_longs=weak_longs, pseudo_label=y_hat,
+            weak=weak, strong_short=strong_short, pseudo_label=y_hat,
             gate=fused_max > cfg.delta, true_label=rec.class_id))
 
     if cfg.use_acl:
@@ -232,7 +229,7 @@ def prepare_step_plan(state: TrainerState, labeled_recs, unlabeled_recs,
                 pooled = bb.encode(state.student, clip).pooled.data
                 state.protos.update(item.label, _unit(pooled), BETA)
         for it in unlabeled_items:
-            enc_p = bb.encode(state.teacher, it.weak_short)
+            enc_p = bb.encode(state.teacher, it.weak[0])
             it.f_p = bb.spatial_embed(state.teacher, enc_p).data
             it.f_score = _unit(enc_p.pooled.data)
 
@@ -255,9 +252,9 @@ def prepare_step_plan(state: TrainerState, labeled_recs, unlabeled_recs,
         centers_snapshot = [c.copy() for c in state.mtl_centers]
         # the centers track the very logits the alignment loss centres: the
         # teacher head on the *calibrated* long tokens
-        per_item = [[z for z, _ in teacher_scale_logits(
-            state.teacher, item.weak_short, item.weak_longs)]
-            for item in unlabeled_items]
+        per_item = [[z for z, _ in teacher_scale_logits(state.teacher,
+                                                        item.weak)]
+                    for item in unlabeled_items]
         for n, batch in enumerate(zip(*per_item)):
             state.mtl_centers[n] = (
                 CENTER_MOMENTUM * state.mtl_centers[n]
@@ -302,9 +299,9 @@ def compute_losses(student: bb.ParamSet, teacher: bb.ParamSet, plan: StepPlan,
                               acl_mod.acl_loss(anchor, item.selection, TAU))
             n_anchors += 1
         if cfg.use_mtl:
-            term, _ = mtl_loss_from_clips(item.weak_short, item.strong_short,
-                                          item.weak_longs, student, teacher,
-                                          TAU_S, TAU_T, plan.mtl_centers)
+            term, _ = mtl_loss_from_clips(item.weak, item.strong_short,
+                                          student, teacher, TAU_S, TAU_T,
+                                          plan.mtl_centers)
             mtl_terms = ad.add(mtl_terms, term)
 
     n_u = max(1, len(plan.unlabeled))
@@ -361,7 +358,7 @@ def evaluate(params: bb.ParamSet, ds: SynthDataset, records, cfg: TrainConfig):
     if not records:
         raise EmptyDataset("evaluation set is empty")
     stride = cfg.strides[0]
-    span = (cfg.clip_len - 1) * stride + 1
+    span = clip_span(cfg.clip_len, stride)
     top1 = top5 = 0
     for rec in records:
         frames = ds.frames(rec)

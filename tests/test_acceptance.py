@@ -130,8 +130,8 @@ def test_criterion_5_calibration_identity_and_suppression():
     rng = np.random.default_rng(5)
     q = rng.normal(size=(8, 16))
     res = mtl.calibrate(q, q)
-    np.testing.assert_allclose(res.attention.data, np.ones(8), atol=1e-12)
-    np.testing.assert_allclose(res.calibrated_tokens.data, q, atol=1e-12)
+    np.testing.assert_allclose(res.attention, np.ones(8), atol=1e-12)
+    np.testing.assert_allclose(res.calibrated_tokens, q, atol=1e-12)
 
     k = np.zeros_like(q)
     for t in range(8):
@@ -139,8 +139,8 @@ def test_criterion_5_calibration_identity_and_suppression():
         v -= np.dot(v, q[t]) / np.dot(q[t], q[t]) * q[t]
         k[t] = v
     res = mtl.calibrate(q, k)
-    np.testing.assert_allclose(res.attention.data, np.zeros(8), atol=1e-12)
-    np.testing.assert_allclose(res.calibrated_tokens.data,
+    np.testing.assert_allclose(res.attention, np.zeros(8), atol=1e-12)
+    np.testing.assert_allclose(res.calibrated_tokens,
                                np.zeros_like(q), atol=1e-12)
 
 

@@ -30,72 +30,71 @@ FIXED_HYPERPARAMETERS = ("tau", "tau_s", "tau_t", "epsilon", "beta", "lr",
                          "ema_momentum")
 
 
-# (section, key, value): each makes TINY an invalid config; a key of None
-# replaces the whole section with the value
-INVALID_OPTIONS = [
-    ("train", "strides", [2]),
-    ("train", "strides", [2, 4, 8, 16]),
-    ("train", "strides", [2, "4", 8]),
-    ("train", "strides", 8),
-    ("train", "epochs", "1"),
-    ("train", "epochs", True),
-    ("train", "epochs", 1.0),
-    ("train", "delta", "0.3"),
-    ("train", "mu1", False),
-    ("train", "use_acl", 1),
-    ("ablation", "use_mtl", "yes"),
-    ("dataset", "n_classes", 7),
-    ("dataset", "labeled_fraction", 0.0),
-    ("dataset", "noise", "0.05"),
-    ("train", "epochs", 0),
-    ("train", "b_u", 0),
-    ("train", "b_l", 0),
-    ("train", "clip_len", 0),
-    ("train", "bank_capacity", 0),
-    ("train", "n_scales", 0),
-    ("train", "d_h", 0),
-    ("train", "d_e", -1),
-    ("train", "d_k", 0),
-    ("train", "checkpoint_every", 0),
-    ("train", "strides", [2, 0, 8]),
-    ("ablation", "use_acll", False),
-    ("ablation", None, [1]),
-    ("train", None, [1]),
-    ("seeds", None, [0.7]),
-    ("seeds", None, ["3"]),
-    ("seeds", None, [True]),
-    ("seeds", None, [-1]),
-    ("seeds", None, 3),
-    ("dataset", "n_classes", 0),
-    ("dataset", "n_classes", -2),
-    ("dataset", "per_class", 0),
-    ("dataset", "d_in", 0),
-    ("dataset", "noise", -1.0),
-    ("dataset", "seed", -1),
-    ("dataset", "video_len", 24),
-    ("dataset", "labeled_fraction", 1.0),
-    ("train", "tau", 0),
-    ("train", "tau_s", 0),
-    ("train", "tau_t", -1),
-    ("train", "epsilon", -0.5),
-    ("train", "delta", 2.0),
-    ("train", "beta", 1.5),
-    ("train", "momentum", 1.01),
-    ("train", "ema_momentum", 2.0),
-    ("train", "lr", -1.0),
-    ("train", "weight_decay", -0.001),
-    ("train", "mu1", -1),
-    ("train", "mu2", -0.5),
-    ("train", "lr_drop_epochs", [-3]),
-    ("trian", None, {"epochs": 1}),
-    ("dataset", "noise", float("nan")),
-    ("dataset", "noise", float("inf")),
-    ("train", "lr", float("inf")),
-    ("train", "weight_decay", float("inf")),
-    ("train", "mu1", float("inf")),
-    ("train", "mu2", float("inf")),
-    ("seeds", None, [0, 0]),
-]
+# test id -> (section, key, value): each makes TINY an invalid config; a key
+# of None replaces the whole section with the value. The ids are fixed
+# strings, so adding or removing a case renames no other.
+INVALID_OPTIONS = {
+    "train-strides-value0": ("train", "strides", [2]),
+    "train-strides-value1": ("train", "strides", [2, 4, 8, 16]),
+    "train-strides-value2": ("train", "strides", [2, "4", 8]),
+    "train-strides-8": ("train", "strides", 8),
+    "train-epochs-1": ("train", "epochs", "1"),
+    "train-epochs-True": ("train", "epochs", True),
+    "train-epochs-1.0": ("train", "epochs", 1.0),
+    "train-delta-0.3": ("train", "delta", "0.3"),
+    "train-mu1-False": ("train", "mu1", False),
+    "train-use_acl-1": ("train", "use_acl", 1),
+    "ablation-use_mtl-yes": ("ablation", "use_mtl", "yes"),
+    "dataset-n_classes-7": ("dataset", "n_classes", 7),
+    "dataset-labeled_fraction-0.0": ("dataset", "labeled_fraction", 0.0),
+    "dataset-noise-0.05": ("dataset", "noise", "0.05"),
+    "train-epochs-0": ("train", "epochs", 0),
+    "train-b_u-0": ("train", "b_u", 0),
+    "train-b_l-0": ("train", "b_l", 0),
+    "train-clip_len-0": ("train", "clip_len", 0),
+    "train-bank_capacity-0": ("train", "bank_capacity", 0),
+    "train-n_scales-0": ("train", "n_scales", 0),
+    "train-d_h-0": ("train", "d_h", 0),
+    "train-d_e--1": ("train", "d_e", -1),
+    "train-d_k-0": ("train", "d_k", 0),
+    "train-checkpoint_every-0": ("train", "checkpoint_every", 0),
+    "train-strides-value24": ("train", "strides", [2, 0, 8]),
+    "ablation-use_acll-False": ("ablation", "use_acll", False),
+    "ablation-None-value26": ("ablation", None, [1]),
+    "train-None-value27": ("train", None, [1]),
+    "seeds-None-value28": ("seeds", None, [0.7]),
+    "seeds-None-value29": ("seeds", None, ["3"]),
+    "seeds-None-value30": ("seeds", None, [True]),
+    "seeds-None-value31": ("seeds", None, [-1]),
+    "seeds-None-3": ("seeds", None, 3),
+    "dataset-n_classes-0": ("dataset", "n_classes", 0),
+    "dataset-n_classes--2": ("dataset", "n_classes", -2),
+    "dataset-per_class-0": ("dataset", "per_class", 0),
+    "dataset-d_in-0": ("dataset", "d_in", 0),
+    "dataset-noise--1.0": ("dataset", "noise", -1.0),
+    "dataset-seed--1": ("dataset", "seed", -1),
+    "dataset-video_len-24": ("dataset", "video_len", 24),
+    "dataset-labeled_fraction-1.0": ("dataset", "labeled_fraction", 1.0),
+    "train-tau-0": ("train", "tau", 0),
+    "train-tau_s-0": ("train", "tau_s", 0),
+    "train-tau_t--1": ("train", "tau_t", -1),
+    "train-epsilon--0.5": ("train", "epsilon", -0.5),
+    "train-delta-2.0": ("train", "delta", 2.0),
+    "train-beta-1.5": ("train", "beta", 1.5),
+    "train-momentum-1.01": ("train", "momentum", 1.01),
+    "train-ema_momentum-2.0": ("train", "ema_momentum", 2.0),
+    "train-lr--1.0": ("train", "lr", -1.0),
+    "train-weight_decay--0.001": ("train", "weight_decay", -0.001),
+    "train-mu1--1": ("train", "mu1", -1),
+    "train-mu2--0.5": ("train", "mu2", -0.5),
+    "train-lr_drop_epochs-value53": ("train", "lr_drop_epochs", [-3]),
+    "trian-None-value54": ("trian", None, {"epochs": 1}),
+    "dataset-noise-nan": ("dataset", "noise", float("nan")),
+    "dataset-noise-inf": ("dataset", "noise", float("inf")),
+    "train-mu1-inf": ("train", "mu1", float("inf")),
+    "train-mu2-inf": ("train", "mu2", float("inf")),
+    "seeds-None-value61": ("seeds", None, [0, 0]),
+}
 
 
 def write_spec(tmp_path, spec, name="spec.json"):
@@ -154,7 +153,8 @@ class TestConfigErrors:
                        "--out", str(tmp_path / "o")])
         assert rc == 2
 
-    @pytest.mark.parametrize("section,key,value", INVALID_OPTIONS)
+    @pytest.mark.parametrize("section,key,value", INVALID_OPTIONS.values(),
+                             ids=INVALID_OPTIONS.keys())
     def test_invalid_option_exits_2_before_writing(self, tmp_path, capsys,
                                                    section, key, value):
         spec = {**TINY, section: value if key is None

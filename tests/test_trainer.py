@@ -27,8 +27,8 @@ class TestFusedPseudoLabel:
         frames = ds.frames(ds.unlabeled[0])
         from seqssl.synthgen import extract_clip
         clip = extract_clip(frames, 0, 2, 4)
-        y, fused_max, per_clip = tr.fused_pseudo_label(state.teacher, clip,
-                                                       [clip, clip])
+        y, fused_max, per_clip = tr.fused_pseudo_label(state.teacher,
+                                                       [clip, clip, clip])
         assert y == int(np.argmax(per_clip[0]))
         assert fused_max == pytest.approx(np.max(per_clip[0]), abs=1e-12)
 
@@ -39,8 +39,7 @@ class TestFusedPseudoLabel:
         from seqssl.synthgen import extract_clip
         clips = [extract_clip(ds.frames(ds.unlabeled[i]), 0, 2, 4)
                  for i in range(3)]
-        y, fused_max, per_clip = tr.fused_pseudo_label(state.teacher, clips[0],
-                                                       clips[1:])
+        y, fused_max, per_clip = tr.fused_pseudo_label(state.teacher, clips)
         fused = np.sum(per_clip, axis=0)
         assert y == int(np.argmax(fused))
         assert fused_max == pytest.approx(fused.max() / 3, abs=1e-12)
@@ -53,7 +52,7 @@ class TestFusedPseudoLabel:
             state.teacher.params[k].data[:] = 0.0
         from seqssl.synthgen import extract_clip
         clip = extract_clip(ds.frames(ds.unlabeled[0]), 0, 2, 4)
-        y, _, _ = tr.fused_pseudo_label(state.teacher, clip, [clip])
+        y, _, _ = tr.fused_pseudo_label(state.teacher, [clip, clip])
         assert y == 0
 
 
@@ -353,8 +352,8 @@ class TestMtlCenters:
         for n in range(1, cfg.n_scales + 1):
             logits = []
             for it in plan.unlabeled:
-                q = bb.encode(state.teacher, it.weak_short).tokens
-                k = bb.encode(state.teacher, it.weak_longs[n - 1]).tokens
+                q = bb.encode(state.teacher, it.weak[0]).tokens.data
+                k = bb.encode(state.teacher, it.weak[n]).tokens.data
                 calib = mtl.calibrate(q, k)
                 logits.append(bb.temporal_embed(
                     state.teacher, n, calib.calibrated_tokens).data)
