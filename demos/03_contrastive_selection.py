@@ -25,7 +25,7 @@ for _ in range(5):
 # A bank mixing genuine class-0 neighbours with impostors that carry the
 # same pseudo-label but sit far from the prototype. Here one vector serves as
 # both the loss-side embedding and the scoring vector of each record.
-bank = MemoryBank(capacity=64)
+bank = MemoryBank(capacity=64, d_e=d, d_h=d)
 for _ in range(6):
     v = unit(center0 + 0.15 * rng.normal(size=d))             # genuine
     bank.push(v, v, 0)

@@ -29,13 +29,15 @@ q = encode(state.student, clips[0]).tokens.data
 k_same = mtl.calibrate(q, q)
 print(f"self-calibration attention  : {k_same.attention.round(6)}")
 
-# the teacher logits are centred by the state's running centres (zero at
-# the start of training)
-weak_short = weak_augment(clips[0], rng, frames)
+# the views are drawn in training's order (weak short, strong short, then
+# the weak longs); the teacher logits are centred by the state's running
+# centres (zero at the start of training)
+weak = [weak_augment(clips[0], rng, frames)]
 strong_short = strong_augment(clips[0], rng, frames)
+weak += [weak_augment(c, rng, frames) for c in clips[1:]]
 loss, per_scale = mtl.mtl_loss_from_clips(
-    [weak_short] + clips[1:], strong_short, state.student, state.teacher,
-    tr.TAU_S, tr.TAU_T, state.mtl_centers)
+    weak, strong_short, state.student, state.teacher, tr.TAU_S, tr.TAU_T,
+    state.mtl_centers)
 print(f"alignment loss (mean over scales): {loss.item():.4f}")
 for n, (scale_loss, mean_attn) in enumerate(per_scale, start=1):
     stride = cfg.strides[n]

@@ -16,24 +16,20 @@ from .protobank import MemoryBank
 
 @dataclass
 class AclSelection:
+    """One anchor's contrastive sets; the shapes hold for any bank, an empty
+    one included (m = 0)."""
     positives: np.ndarray              # (k+1, d_e): kept records, f^p last
     negatives: np.ndarray              # (m, d_e): the other bank records
     anchor_reliability: float
     used_fallback: bool
 
 
-def _append_row(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A new array of ``rows`` followed by the row ``v``. The rows of a bank
-    never pushed to are (0, 0), so they take ``v``'s width first."""
-    return np.concatenate((rows.reshape(len(rows), v.size), v[None]))
-
-
 def build_candidates(bank: MemoryBank, pseudo_label: int,
                      f_score: np.ndarray) -> np.ndarray:
     """Initial positive set as one (k+1, d_h) array of scoring vectors: the
     same-pseudo-class bank records, then the anchor's own (last)."""
-    return _append_row(bank.candidates_of(pseudo_label),
-                       np.asarray(f_score, dtype=np.float64))
+    return np.concatenate((bank.candidates_of(pseudo_label),
+                           np.asarray(f_score, dtype=np.float64)[None]))
 
 
 def score_candidates(sets: list) -> list:
@@ -67,21 +63,22 @@ def select(bank: MemoryBank, pseudo_label: int, f_p: np.ndarray,
 
     ``scores`` must be aligned with build_candidates order (the class's bank
     records in insertion order, then the anchor's own score last). The
-    selection's arrays are copies, so later pushes leave them as they are.
+    selection holds the bank's own array or fresh rows of it, and bank
+    arrays never change, so later pushes leave a selection as it is.
     """
     f_p = np.asarray(f_p, dtype=np.float64)
     emb = bank.embeddings
     gamma_fp = 0.0 if scores is None else float(scores[-1])
     if scores is None or gamma_fp <= epsilon:
         return AclSelection(
-            positives=f_p[None].copy(), negatives=emb.copy(),
+            positives=f_p[None], negatives=emb,
             anchor_reliability=gamma_fp, used_fallback=True)
 
     labels = bank.labels
     keep = np.zeros(len(labels), dtype=bool)
     keep[labels == pseudo_label] = np.asarray(scores[:-1]) > epsilon
     return AclSelection(
-        positives=_append_row(emb[keep], f_p),
+        positives=np.concatenate((emb[keep], f_p[None])),
         negatives=emb[~keep], anchor_reliability=gamma_fp,
         used_fallback=False)
 

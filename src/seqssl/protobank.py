@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NotNormalized
+from .errors import IndexOutOfRange, NotNormalized, ShapeMismatch
 
 UNIT_TOL = 1e-6
 
@@ -24,11 +24,14 @@ class PrototypeTable:
     def update(self, class_id: int, f_l: np.ndarray, beta: float) -> None:
         if not 0 <= class_id < self.prototypes.shape[0]:
             raise IndexOutOfRange(f"class {class_id}")
+        if np.shape(f_l) != self.prototypes.shape[1:]:
+            raise ShapeMismatch(f"embedding shape {np.shape(f_l)}, "
+                                f"prototypes {self.prototypes.shape[1:]}")
         if self.initialized[class_id]:
             self.prototypes[class_id] = (
                 (1.0 - beta) * f_l + beta * self.prototypes[class_id])
         else:
-            self.prototypes[class_id] = np.array(f_l, dtype=np.float64)
+            self.prototypes[class_id] = f_l
             self.initialized[class_id] = True
 
     def get(self, class_id: int) -> np.ndarray | None:
@@ -42,76 +45,50 @@ class PrototypeTable:
 
 class MemoryBank:
     """Bounded FIFO of (f_p, f_score, pseudo_label) records, held as three
-    row-aligned arrays in insertion order.
+    row-aligned arrays, oldest record first: ``embeddings`` (n, d_e),
+    ``scores`` (n, d_h) and ``labels`` (n,).
 
     ``f_p`` is the teacher's unit projection-head embedding, which the
     contrastive loss draws positives and negatives from. ``f_score`` is the
     unit pooled embedding of the same clip, which reliability scoring
     compares with the class prototype.
 
-    The buffers hold ``2 * capacity`` rows and the records are the window
-    ``[start, end)``. A push writes the row after the last one; when the
-    buffer is full, the window is first copied to the front, so a push costs
-    O(1) on average. The rows are never rotated: readers see the records in
-    insertion order, and every sum over them adds them in that order.
+    A push builds three new read-only arrays from the kept records and the
+    new one, so bank arrays never change: a reader may hold them across later
+    pushes. Every sum over the rows adds them in insertion order.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, d_e: int, d_h: int):
         self.capacity = capacity
-        rows = 2 * capacity
-        # the first push sets the row widths
-        self._embeddings = np.empty((rows, 0))
-        self._scores = np.empty((rows, 0))
-        self._labels = np.empty(rows, dtype=np.int64)
-        self._start = self._end = 0
+        self.embeddings = np.empty((0, d_e))
+        self.scores = np.empty((0, d_h))
+        self.labels = np.empty(0, dtype=np.int64)
 
     def __len__(self):
-        return self._end - self._start
+        return len(self.labels)
 
     def push(self, embedding: np.ndarray, score: np.ndarray,
              pseudo_label: int) -> None:
-        for v in (embedding, score):
+        for v, rows in ((embedding, self.embeddings), (score, self.scores)):
+            if np.shape(v) != rows.shape[1:]:
+                raise ShapeMismatch(
+                    f"vector shape {np.shape(v)}, bank rows {rows.shape[1:]}")
             # written as "not <=" so that a NaN norm fails too
             if not abs(np.linalg.norm(v) - 1.0) <= UNIT_TOL:
                 raise NotNormalized(f"norm {np.linalg.norm(v)}")
-        rows = len(self._labels)
-        if not self._embeddings.shape[1]:
-            self._embeddings = np.empty((rows, np.size(embedding)))
-            self._scores = np.empty((rows, np.size(score)))
-        if self._end == rows:
-            n = len(self)
-            for buf in (self._embeddings, self._scores, self._labels):
-                buf[:n] = buf[self._start:self._end]
-            self._start, self._end = 0, n
-        self._embeddings[self._end] = embedding
-        self._scores[self._end] = score
-        self._labels[self._end] = pseudo_label
-        self._end += 1
-        if len(self) > self.capacity:
-            self._start += 1
-
-    def _window(self, buf: np.ndarray) -> np.ndarray:
-        view = buf[self._start:self._end]
-        view.flags.writeable = False
-        return view
-
-    @property
-    def embeddings(self) -> np.ndarray:
-        """(n, d_e) f_p rows, oldest first; a read-only view that the next
-        push may overwrite. A bank never pushed to gives (0, 0)."""
-        return self._window(self._embeddings)
-
-    @property
-    def scores(self) -> np.ndarray:
-        """(n, d_h) f_score rows, aligned with ``embeddings``."""
-        return self._window(self._scores)
-
-    @property
-    def labels(self) -> np.ndarray:
-        """(n,) pseudo-labels, aligned with ``embeddings``."""
-        return self._window(self._labels)
+        start = max(len(self) + 1 - self.capacity, 0)
+        self.embeddings = _appended(self.embeddings, start, embedding)
+        self.scores = _appended(self.scores, start, score)
+        self.labels = _appended(self.labels, start, pseudo_label)
 
     def candidates_of(self, class_id: int) -> np.ndarray:
         """Scoring vectors of the records labelled ``class_id``, in
         insertion order, as a new (k, d_h) array."""
         return self.scores[self.labels == class_id]
+
+
+def _appended(rows: np.ndarray, start: int, row) -> np.ndarray:
+    """A new read-only array of ``rows[start:]`` followed by ``row``."""
+    out = np.concatenate((rows[start:], np.asarray(row, rows.dtype)[None]))
+    out.flags.writeable = False
+    return out

@@ -146,7 +146,7 @@ class TrainerState:
         # pooled vector with the projection-head embedding the InfoNCE terms
         # operate on
         self.protos = PrototypeTable(ds.cfg.n_classes, cfg.d_h)
-        self.bank = MemoryBank(cfg.bank_capacity)
+        self.bank = MemoryBank(cfg.bank_capacity, cfg.d_e, cfg.d_h)
         self.velocity = {k: np.zeros_like(p.data)
                          for k, p in self.student.params.items()}
         # running centers of the teacher's per-scale temporal logits,

@@ -98,7 +98,7 @@ def test_criterion_4_selection_semantics():
     for trial in range(300):
         size = int(rng.integers(0, 65))
         n_classes = int(rng.integers(1, 6))
-        bank = MemoryBank(64)
+        bank = MemoryBank(64, 6, 6)
         for _ in range(size):
             v = rng.normal(size=6)
             v = v / np.linalg.norm(v)

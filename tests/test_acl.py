@@ -24,13 +24,13 @@ class TestBuildCandidates:
     def test_empty_bank(self):
         rng = np.random.default_rng(0)
         f_p = unit(rng)
-        cands = acl.build_candidates(MemoryBank(8), 0, f_p)
+        cands = acl.build_candidates(MemoryBank(8, 6, 6), 0, f_p)
         assert len(cands) == 1
         np.testing.assert_array_equal(cands[0], f_p)
 
     def test_class_filter(self):
         rng = np.random.default_rng(1)
-        bank = MemoryBank(8)
+        bank = MemoryBank(8, 6, 6)
         for lab in (0, 0, 1, 1, 1):
             v = unit(rng)
             bank.push(v, v, lab)
@@ -40,7 +40,7 @@ class TestBuildCandidates:
     def test_duplicate_fp_kept_as_distinct_record(self):
         rng = np.random.default_rng(2)
         f_p = unit(rng)
-        bank = MemoryBank(8)
+        bank = MemoryBank(8, 6, 6)
         bank.push(f_p, f_p, 0)
         cands = acl.build_candidates(bank, 0, f_p)
         assert len(cands) == 2
@@ -134,7 +134,7 @@ def reference_select(bank, pseudo_label, f_p, scores, epsilon):
 class TestSelect:
     def test_all_reliable(self):
         rng = np.random.default_rng(0)
-        bank = MemoryBank(8)
+        bank = MemoryBank(8, 6, 6)
         for _ in range(4):
             v = unit(rng)
             bank.push(v, v, 0)
@@ -147,7 +147,7 @@ class TestSelect:
 
     def test_fallback(self):
         rng = np.random.default_rng(1)
-        bank = MemoryBank(8)
+        bank = MemoryBank(8, 6, 6)
         for lab in (0, 1, 0):
             v = unit(rng)
             bank.push(v, v, lab)
@@ -160,9 +160,18 @@ class TestSelect:
         assert len(sel.negatives) == len(bank)
         assert sel.anchor_reliability == pytest.approx(0.1)
 
+    def test_fallback_on_empty_bank(self):
+        f_p = unit(np.random.default_rng(5))
+        for scores in (None, np.array([0.1])):
+            sel = acl.select(MemoryBank(8, 6, 6), 0, f_p, scores, 0.7)
+            assert sel.used_fallback
+            assert sel.positives.shape == (1, 6)
+            assert sel.negatives.shape == (0, 6)
+            assert acl.acl_loss(f_p, sel, 0.07).item() == 0.0
+
     def test_fallback_flag_matches_threshold(self):
         rng = np.random.default_rng(2)
-        bank = MemoryBank(8)
+        bank = MemoryBank(8, 6, 6)
         for _ in range(4):
             v = unit(rng)
             bank.push(v, v, 0)
@@ -176,7 +185,7 @@ class TestSelect:
         # scores=None: the pseudo-class has no prototype, so the anchor falls
         # back to {f^p} vs the whole bank with gamma 0 at any epsilon
         rng = np.random.default_rng(4)
-        bank = MemoryBank(8)
+        bank = MemoryBank(8, 6, 6)
         for lab in (0, 1, 0):
             v = unit(rng)
             bank.push(v, v, lab)
@@ -196,7 +205,7 @@ class TestSelect:
         for trial in range(200):
             n = int(rng.integers(0, 65))
             n_classes = int(rng.integers(1, 5))
-            bank = MemoryBank(64)
+            bank = MemoryBank(64, 6, 6)
             for _ in range(n):
                 v = unit(rng)
                 bank.push(v, v, int(rng.integers(0, n_classes)))

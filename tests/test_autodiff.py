@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqssl import autodiff as ad
-from seqssl import mtl
 from seqssl.errors import DegenerateVector, IndexOutOfRange, NotScalar, ShapeMismatch
 
 
@@ -43,32 +42,6 @@ class TestL2Normalize:
     def test_zero_vector(self):
         with pytest.raises(DegenerateVector):
             ad.l2_normalize(ad.Tensor([0.0, 0.0]))
-
-
-def cosine(a, b):
-    """Cosine of two vectors through mtl.calibrate on one-row arrays."""
-    return mtl.calibrate(np.array([a]), np.array([b])).attention.item()
-
-
-class TestCosineSimilarity:
-    def test_self(self):
-        assert cosine([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_45deg(self):
-        assert cosine([1.0, 1.0], [1.0, 0.0]) == pytest.approx(
-            0.7071067811865475, abs=1e-9)
-
-    def test_symmetric_exact_and_bounded(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            a, b = rng.normal(size=6), rng.normal(size=6)
-            ab = cosine(a, b)
-            ba = cosine(b, a)
-            assert ab == ba
-            assert abs(ab) <= 1.0 + 1e-12
 
 
 class TestSoftmaxTemp:

@@ -53,6 +53,11 @@ class TestSampleMultiscale:
                                   np.random.default_rng(0))
 
 
+def cosine(a, b):
+    """Cosine of two vectors through mtl.calibrate on one-row arrays."""
+    return mtl.calibrate(np.array([a]), np.array([b])).attention.item()
+
+
 class TestCalibrate:
     def test_identity(self):
         q = np.random.default_rng(0).normal(size=(4, 6))
@@ -104,6 +109,25 @@ class TestCalibrate:
             mtl.calibrate(np.ones((4, 6)), np.ones((4, 5)))
         with pytest.raises(ShapeMismatch):
             mtl.calibrate(np.ones(6), np.ones(6))
+
+    def test_cosine_self(self):
+        assert cosine([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == pytest.approx(1.0)
+
+    def test_cosine_orthogonal(self):
+        assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
+
+    def test_cosine_45deg(self):
+        assert cosine([1.0, 1.0], [1.0, 0.0]) == pytest.approx(
+            0.7071067811865475, abs=1e-9)
+
+    def test_cosine_symmetric_exact_and_bounded(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            a, b = rng.normal(size=6), rng.normal(size=6)
+            ab = cosine(a, b)
+            ba = cosine(b, a)
+            assert ab == ba
+            assert abs(ab) <= 1.0 + 1e-12
 
 
 class TestAlignmentLoss:

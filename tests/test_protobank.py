@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqssl import acl
-from seqssl.errors import IndexOutOfRange, NotNormalized
+from seqssl.errors import IndexOutOfRange, NotNormalized, ShapeMismatch
 from seqssl.protobank import MemoryBank, PrototypeTable
 
 
@@ -42,6 +42,19 @@ class TestPrototypeTable:
         with pytest.raises(IndexOutOfRange):
             table.update(5, np.array([1.0, 0.0]), 0.9)
 
+    def test_wrong_width_raises_before_writing(self):
+        # a (1,) vector would broadcast over a 3-wide row
+        table = PrototypeTable(2, 3)
+        with pytest.raises(ShapeMismatch):
+            table.update(0, np.array([1.0]), 0.9)
+        assert table.get(0) is None
+        table.update(0, np.array([1.0, 0.0, 0.0]), 0.9)
+        for bad in (np.array([1.0]), np.array([1.0, 0.0]),
+                    np.array([[1.0, 0.0, 0.0]])):
+            with pytest.raises(ShapeMismatch):
+                table.update(0, bad, 0.9)
+        np.testing.assert_array_equal(table.get(0), [1.0, 0.0, 0.0])
+
     def test_norm_stays_bounded(self):
         table = PrototypeTable(1, 8)
         rng = np.random.default_rng(2)
@@ -52,13 +65,13 @@ class TestPrototypeTable:
 
 class TestMemoryBank:
     def test_push_to_empty(self):
-        bank = MemoryBank(4)
+        bank = MemoryBank(4, 4, 4)
         v = unit(np.random.default_rng(0))
         bank.push(v, v, 1)
         assert len(bank) == 1
 
     def test_fifo_eviction(self):
-        bank = MemoryBank(2)
+        bank = MemoryBank(2, 4, 4)
         rng = np.random.default_rng(1)
         vecs = [unit(rng) for _ in range(3)]
         for i, v in enumerate(vecs):
@@ -68,7 +81,7 @@ class TestMemoryBank:
         assert stored == [1, 2]
 
     def test_not_normalized(self):
-        bank = MemoryBank(4)
+        bank = MemoryBank(4, 2, 2)
         unit_v = np.array([1.0, 0.0])
         for bad in (np.array([1.0, 1.0]), np.full(2, np.nan)):
             with pytest.raises(NotNormalized):
@@ -77,8 +90,37 @@ class TestMemoryBank:
                 bank.push(unit_v, bad, 0)
         assert len(bank) == 0
 
+    def test_empty_bank_has_row_widths(self):
+        bank = MemoryBank(4, 3, 5)
+        assert len(bank) == 0
+        assert bank.embeddings.shape == (0, 3)
+        assert bank.scores.shape == (0, 5)
+        assert bank.labels.shape == (0,)
+        assert bank.candidates_of(0).shape == (0, 5)
+
+    def test_wrong_width_push_raises_and_changes_nothing(self):
+        # a unit (1,) vector passes the norm check and would broadcast over
+        # a whole row; a wrong-width score must not leave its embedding
+        # behind either
+        rng = np.random.default_rng(7)
+        for bank in (MemoryBank(4, 3, 5), MemoryBank(1, 3, 5)):
+            for _ in range(2):
+                bank.push(unit(rng, 3), unit(rng, 5), 0)
+            before = (bank.embeddings, bank.scores, bank.labels)
+            copies = [a.copy() for a in before]
+            one = np.array([1.0])
+            for emb, score in ((one, unit(rng, 5)), (unit(rng, 3), one),
+                               (one, one), (unit(rng, 3), unit(rng, 6)),
+                               (unit(rng, 5), unit(rng, 3))):
+                with pytest.raises(ShapeMismatch):
+                    bank.push(emb, score, 1)
+            for a, b, c in zip((bank.embeddings, bank.scores, bank.labels),
+                               before, copies):
+                assert a is b
+                np.testing.assert_array_equal(a, c)
+
     def test_capacity_exact(self):
-        bank = MemoryBank(5)
+        bank = MemoryBank(5, 4, 4)
         rng = np.random.default_rng(2)
         for i in range(17):
             v = unit(rng)
@@ -86,7 +128,7 @@ class TestMemoryBank:
         assert len(bank) == 5
 
     def test_candidates_partition(self):
-        bank = MemoryBank(32)
+        bank = MemoryBank(32, 4, 4)
         rng = np.random.default_rng(3)
         for i in range(20):
             v = unit(rng)
@@ -95,7 +137,7 @@ class TestMemoryBank:
         assert total == len(bank)
 
     def test_candidates_filter(self):
-        bank = MemoryBank(8)
+        bank = MemoryBank(8, 4, 4)
         rng = np.random.default_rng(4)
         for lab in (0, 1, 0):
             v = unit(rng)
@@ -112,7 +154,7 @@ class TestMemoryBankProperties:
     def test_records_keep_the_pair_pushed_together(self, capacity, labels,
                                                    seed):
         rng = np.random.default_rng(seed)
-        bank = MemoryBank(capacity)
+        bank = MemoryBank(capacity, 4, 4)
         pushed = []
         for lab in labels:
             emb, score = unit(rng), unit(rng)
@@ -134,7 +176,7 @@ class TestMemoryBankProperties:
     def test_candidates_match_select_positions(self, capacity, labels,
                                                class_id, seed):
         rng = np.random.default_rng(seed)
-        bank = MemoryBank(capacity)
+        bank = MemoryBank(capacity, 4, 4)
         for lab in labels:
             bank.push(unit(rng), unit(rng), lab)
         cands = bank.candidates_of(class_id)
@@ -159,11 +201,11 @@ class TestMemoryBankProperties:
            labels=st.lists(st.integers(0, 3), max_size=40),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_matches_a_deque_after_every_push(self, capacity, labels, seed):
-        # up to 40 pushes into a buffer of 2 * capacity rows compact the
-        # window several times; after each push the arrays must read as a
-        # bounded deque of the same records does
+        # up to 40 pushes evict the oldest record many times over; after
+        # each push the arrays must read as a bounded deque of the same
+        # records does
         rng = np.random.default_rng(seed)
-        bank = MemoryBank(capacity)
+        bank = MemoryBank(capacity, 3, 5)
         ref = deque(maxlen=capacity)
         for lab in labels:
             emb, score = unit(rng, 3), unit(rng, 5)
@@ -184,7 +226,7 @@ class TestMemoryBankProperties:
                     np.testing.assert_array_equal(a, b)
 
     def test_views_are_read_only(self):
-        bank = MemoryBank(4)
+        bank = MemoryBank(4, 4, 4)
         v = unit(np.random.default_rng(5))
         bank.push(v, v, 0)
         for view in (bank.embeddings, bank.scores, bank.labels):
@@ -192,10 +234,10 @@ class TestMemoryBankProperties:
                 view[0] = 0
 
     def test_selection_keeps_its_values_after_pushes(self):
-        # the buffer's rows are overwritten and compacted by later pushes;
-        # a selection built before them must not see that
+        # later pushes replace the bank's arrays and evict its records; a
+        # selection built before them must not see that
         rng = np.random.default_rng(6)
-        bank = MemoryBank(3)
+        bank = MemoryBank(3, 4, 4)
         for lab in (0, 1, 0):
             v = unit(rng)
             bank.push(v, v, lab)

@@ -204,6 +204,12 @@ class TestTrainStep:
 
 
 class TestAclPlan:
+    def test_bank_has_the_config_widths(self):
+        cfg, ds = small()
+        bank = tr.TrainerState(cfg, ds).bank
+        assert bank.embeddings.shape == (0, cfg.d_e)
+        assert bank.scores.shape == (0, cfg.d_h)
+
     def test_missing_prototype_gets_select_fallback(self, monkeypatch):
         # every item goes through acl.select; one whose pseudo-class has no
         # prototype gets select's fallback: {f^p} vs the whole bank, gamma 0
