@@ -18,7 +18,6 @@ import math
 import os
 import statistics
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from .backbone import write_atomic
@@ -199,7 +198,12 @@ def cmd_ablate(args) -> int:
                                     seed=seed))
             run_outs.append(os.path.join(out, name, f"seed_{seed}"))
 
-    workers = min(len(names), os.cpu_count() or 1)
+    # imported here, so that the other commands do not load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    # the CPUs this process may run on, not all the machine's
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(len(names), cpus)
     # one shared dataset across the grid: the ablation compares training
     # components, so only the training seed varies
     with ProcessPoolExecutor(max_workers=workers) as pool:

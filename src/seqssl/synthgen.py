@@ -13,8 +13,13 @@ Waveform shape shows up as the within-clip amplitude distribution, a
 statistic that survives resampling at any clip stride, so short- and
 long-stride views of a video carry consistent temporal evidence.
 
-Videos are never stored: they are regenerated bit-exactly from
-(class_id, video_index, seed, config).
+A video is pure in (class_id, video_index, seed, config), and
+SynthDataset.frames memoizes each video it makes. A video is one
+(video_len, d_in) float64 array: 38.4 KB at the default 300 x 16, and about
+18 MB for the 480 videos (400 training, 80 eval) a default run touches. The
+cache stays because videos are revisited: a 5-epoch run of the benchmark's
+train-both spec asks for 3,110 videos, and regenerating one costs about
+0.14 ms on a 2-core Xeon, most of it the seeded noise draw.
 """
 
 from __future__ import annotations

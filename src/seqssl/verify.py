@@ -7,11 +7,14 @@ the implementations they check.
 
 The gradient checks perturb each student parameter entry once per seed and
 read all five losses from that one pair of forward passes. The EM oracle
-runs its 50 restarts as one (R, 2, n) batch, components-major, with each
-restart's points contiguous on the last axis. Its sums over points are
-sequential (cumsum) and each restart's log-likelihood is a pairwise sum over
-its row, so every restart follows the same arithmetic as it would alone and
-the oracle's result does not depend on the batching.
+runs the 50 restarts of several sets as one (S*R, 2, n) batch,
+components-major, with each restart's own set's points contiguous on the
+last axis. Its sums over points are sequential (cumsum) and each restart's
+log-likelihood is a pairwise sum over its row, so every restart follows the
+same arithmetic as it would alone and the oracle's result does not depend on
+the batching. The mixture check batches its 20 sets 4 at a time: larger
+batches are faster still, but their arrays raise the peak memory of
+`seqssl verify` (ORACLE_BATCH_SETS).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from . import acl as acl_mod
 from . import autodiff as ad
 from . import gmm
 from . import trainer as tr
+from .errors import ShapeMismatch
 from .synthgen import DatasetConfig, SynthDataset
 
 
@@ -80,58 +84,105 @@ def loss_gradchecks(seed: int, eps=1e-5) -> List[CheckResult]:
             for name, err in zip(names, errs)]
 
 
-def oracle_em(points: np.ndarray, n_restarts: int = 50, seed: int = 0):
-    """Independent 2-component EM with random restarts; returns the best
-    log-likelihood found.
+def oracle_em_many(sets, seeds, n_restarts: int = 50) -> List[float]:
+    """Independent 2-component EM with random restarts on each of several
+    equal-size sets; returns each set's best log-likelihood, in set order.
 
-    All restarts run as one (R, 2, n) batch: each restart's points lie
-    contiguous on the last axis, and its two components are the slices
-    [:, 0] and [:, 1]. Each restart draws its initial means in turn from
-    one generator, and leaves the batch once its log-likelihood changes by
-    less than 1e-10, or after 500 iterations.
+    The restarts of all the sets run as one (S*R, 2, n) batch: row j runs
+    restart j % R of set j // R and carries that set's points contiguous on
+    the last axis, and its two components are the slices [:, 0] and [:, 1].
+    Each set draws its initial means, restart by restart, from its own
+    default_rng(seed). A row leaves the batch once its log-likelihood
+    changes by less than 1e-10, or after 500 iterations. Each set's best is
+    a max over its restarts in restart order.
 
     Each restart follows the arithmetic of an (n, 2) loop run alone, so the
     result does not depend on the batching: the sums over points (nk,
     sum r*x and sum r*(x - mu)**2) are sequential (cumsum), each restart's
     log-likelihood is numpy's pairwise sum over its row, and the max and sum
-    over the two components are np.maximum(lp0, lp1) and e0 + e1.
+    over the two components are np.maximum(lp0, lp1) and e0 + e1. The
+    in-place steps (np.square, /=, +=, *=) give the same bits as the plain
+    expressions. A batch holds three (S*R, 2, n) buffers and a few
+    (S*R, n) ones, so its memory grows with S; ORACLE_BATCH_SETS says how
+    many sets `seqssl verify` puts in one batch, and why.
     """
-    x = np.asarray(points, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    mu = np.stack([rng.choice(x, size=2, replace=False).astype(np.float64)
-                   for _ in range(n_restarts)])
-    var = np.full((n_restarts, 2), max(x.var(), 1e-6))
-    w = np.full((n_restarts, 2), 0.5)
-    prev = np.full(n_restarts, -np.inf)
-    final = np.empty(n_restarts)     # the log-likelihood each restart returns
-    rows = np.arange(n_restarts)     # the restart each batch row runs
+    sets = [np.asarray(pts, dtype=np.float64) for pts in sets]
+    if len({pts.shape for pts in sets}) != 1 or sets[0].ndim != 1:
+        raise ShapeMismatch(
+            f"oracle sets must be 1-D and of one size, got "
+            f"{[pts.shape for pts in sets]}")
+    n = sets[0].size
+    mu, var = [], []
+    for pts, seed in zip(sets, seeds, strict=True):
+        rng = np.random.default_rng(seed)
+        mu.extend(rng.choice(pts, size=2, replace=False).astype(np.float64)
+                  for _ in range(n_restarts))
+        var.append(np.full((n_restarts, 2), max(pts.var(), 1e-6)))
+    mu, var = np.stack(mu), np.concatenate(var)
+    x = np.repeat(np.stack(sets), n_restarts, axis=0)[:, None, :]
+    batch = len(x)
+    w = np.full((batch, 2), 0.5)
+    prev = np.full(batch, -np.inf)
+    final = np.empty(batch)          # the log-likelihood each restart returns
+    rows = np.arange(batch)          # the restart each batch row runs
+    # every per-point array is a slice of one of these, over the rows still
+    # running, so the iterations allocate no array of the batch's size
+    log_p_buf, r_buf, sums_buf = (np.empty((batch, 2, n)) for _ in range(3))
+    m_buf, norm_buf = np.empty((batch, n)), np.empty((batch, n))
     for _ in range(500):
-        log_p = np.log(w[..., None]) - 0.5 * (
-            np.log(2 * np.pi * var[..., None])
-            + (x - mu[..., None]) ** 2 / var[..., None])
-        m = np.maximum(log_p[:, 0], log_p[:, 1])
-        e = np.exp(log_p - m[:, None])
-        norm = m + np.log(e[:, 0] + e[:, 1])
+        k = rows.size
+        # log w - 0.5 * (log(2 pi var) + (x - mu)**2 / var)
+        log_p = np.subtract(x, mu[..., None], out=log_p_buf[:k])
+        np.square(log_p, out=log_p)
+        log_p /= var[..., None]
+        log_p += np.log(2 * np.pi * var)[..., None]
+        log_p *= -0.5
+        log_p += np.log(w)[..., None]
+        # m + log(e0 + e1), with e = exp(log_p - m)
+        m = np.maximum(log_p[:, 0], log_p[:, 1], out=m_buf[:k])
+        e = np.subtract(log_p, m[:, None], out=r_buf[:k])
+        np.exp(e, out=e)
+        norm = np.add(e[:, 0], e[:, 1], out=norm_buf[:k])
+        np.log(norm, out=norm)
+        norm += m
         ll = norm.sum(axis=1)
         done = np.abs(ll - prev) < 1e-10
         final[rows[done]] = prev[done]
         go = ~done
         rows, prev = rows[go], ll[go]
-        if not rows.size:
+        k = rows.size
+        if not k:
             break
-        log_p, norm = log_p[go], norm[go]
-        r = np.exp(log_p - norm[:, None])
-        nk = np.cumsum(r, axis=-1)[..., -1]
-        mu = np.cumsum(r * x, axis=-1)[..., -1] / nk
-        var = np.maximum(
-            np.cumsum(r * (x - mu[..., None]) ** 2, axis=-1)[..., -1] / nk,
-            1e-6)
-        w = nk / x.size
+        # drop the finished rows; compress copies its input when out overlaps
+        x = np.compress(go, x, axis=0, out=x[:k])
+        r = np.compress(go, log_p, axis=0, out=r_buf[:k])
+        norm = np.compress(go, norm, axis=0, out=m_buf[:k])
+        r -= norm[:, None]
+        np.exp(r, out=r)
+        # each sum over points is the last column of a sequential cumsum
+        sums = sums_buf[:k]
+        nk = np.cumsum(r, axis=-1, out=sums)[..., -1].copy()
+        rx = np.multiply(r, x, out=log_p_buf[:k])
+        mu = np.cumsum(rx, axis=-1, out=sums)[..., -1] / nk
+        sq = np.subtract(x, mu[..., None], out=log_p_buf[:k])
+        np.square(sq, out=sq)
+        sq *= r
+        var = np.maximum(np.cumsum(sq, axis=-1, out=sums)[..., -1] / nk,
+                         1e-6)
+        w = nk / n
     final[rows] = prev
-    best = -np.inf
-    for ll in final:
-        best = max(best, ll)
-    return best
+    bests = []
+    for restarts in final.reshape(len(sets), n_restarts):
+        best = -np.inf
+        for ll in restarts:
+            best = max(best, ll)
+        bests.append(best)
+    return bests
+
+
+def oracle_em(points: np.ndarray, n_restarts: int = 50, seed: int = 0):
+    """The best log-likelihood of oracle_em_many on one set."""
+    return oracle_em_many([points], [seed], n_restarts)[0]
 
 
 def oracle_dataset(i: int, n_datasets: int = 20) -> np.ndarray:
@@ -145,18 +196,25 @@ def oracle_dataset(i: int, n_datasets: int = 20) -> np.ndarray:
     return np.clip(pts, -1.0, 1.0)
 
 
+# Sets per oracle batch, bounded by peak RSS. More sets per batch run
+# faster, but the batch's buffers grow with it. With 4 sets (200 rows of 100
+# points) the oracle stays under the peak the gradient checks set, about
+# 40 MB for `seqssl verify`; 10 sets raised that peak by 2 MB and all 20 sets
+# by 6 MB, for at most 5% less time.
+ORACLE_BATCH_SETS = 4
+
+
 def gmm_oracle_checks(n_datasets: int = 20) -> List[CheckResult]:
     """fit_gmm must reach the restart-oracle's log-likelihood minus 1e-3 on
     seeded two-cluster datasets with separations from 0.1 to 0.7."""
-    results = []
     worst_gap = -np.inf
-    for i in range(n_datasets):
-        pts = oracle_dataset(i, n_datasets)
-        fit = gmm.fit_gmm(pts)
-        gap = oracle_em(pts, seed=i) - gmm.log_likelihood(fit, pts)
-        worst_gap = max(worst_gap, gap)
-    results.append(CheckResult("gmm_vs_restart_oracle", worst_gap, 1e-3))
-    return results
+    for start in range(0, n_datasets, ORACLE_BATCH_SETS):
+        seeds = range(start, min(start + ORACLE_BATCH_SETS, n_datasets))
+        sets = [oracle_dataset(i, n_datasets) for i in seeds]
+        for pts, best in zip(sets, oracle_em_many(sets, seeds)):
+            gap = best - gmm.log_likelihood(gmm.fit_gmm(pts), pts)
+            worst_gap = max(worst_gap, gap)
+    return [CheckResult("gmm_vs_restart_oracle", worst_gap, 1e-3)]
 
 
 def acl_oracle(anchor, positives, negatives, tau):

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqssl import gmm, verify
+from seqssl.errors import ShapeMismatch
 
 
 def reference_oracle_em(points, n_restarts=50, seed=0):
     """The oracle's restarts one after another, each in an (n, 2) layout:
-    the loop the batched oracle_em must match bit for bit. Also returns, per
-    restart, the iteration it converged at, or None at the 500 cap."""
+    the loop the batched oracle_em_many must match set by set, bit for bit.
+    Also returns, per restart, the iteration it converged at, or None at the
+    500 cap."""
     x = np.asarray(points, dtype=np.float64)
     rng = np.random.default_rng(seed)
     best = -np.inf
@@ -82,6 +84,9 @@ class TestOracleEm:
         points = two_clusters(3, 0.6)
         want, _ = reference_oracle_em(points, n_restarts=8, seed=3)
         assert verify.oracle_em(points, n_restarts=8, seed=3) == want
+        other = one_cluster(2)
+        assert verify.oracle_em_many([points, other], [3, 2], n_restarts=8) \
+            == [want, reference_oracle_em(other, n_restarts=8, seed=2)[0]]
 
     @pytest.mark.parametrize("i", [0, 10, 19])
     def test_verify_datasets(self, i):
@@ -100,3 +105,48 @@ class TestOracleEm:
     def test_batch_matches_restarts_one_by_one(self, points, n_restarts, seed):
         want, _ = reference_oracle_em(points, n_restarts, seed)
         assert verify.oracle_em(points, n_restarts, seed) == want
+
+
+class TestOracleEmMany:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), n_points=st.integers(2, 60),
+           n_sets=st.integers(1, 5), n_restarts=st.integers(1, 6))
+    def test_matches_reference_set_by_set(self, data, n_points, n_sets,
+                                          n_restarts):
+        one_set = st.one_of(
+            st.lists(st.floats(-1.0, 1.0), min_size=n_points,
+                     max_size=n_points).map(np.array),
+            st.builds(one_cluster, st.integers(0, 2**16), st.just(n_points)))
+        sets = [data.draw(one_set) for _ in range(n_sets)]
+        seeds = data.draw(st.lists(st.integers(0, 2**16), min_size=n_sets,
+                                   max_size=n_sets))
+        want = [reference_oracle_em(pts, n_restarts, seed)[0]
+                for pts, seed in zip(sets, seeds)]
+        # 1 set, 2 sets and all sets per batch
+        for per_batch in (1, 2, n_sets):
+            got = []
+            for i in range(0, n_sets, per_batch):
+                got += verify.oracle_em_many(sets[i:i + per_batch],
+                                             seeds[i:i + per_batch],
+                                             n_restarts)
+            assert got == want
+
+    def test_unequal_sizes_raise(self):
+        with pytest.raises(ShapeMismatch):
+            verify.oracle_em_many([one_cluster(0, 10), one_cluster(1, 11)],
+                                  [0, 1], n_restarts=2)
+
+
+class TestGmmOracleChecks:
+    def test_same_worst_gap_as_one_set_at_a_time(self):
+        # one full batch and one partial one
+        n = verify.ORACLE_BATCH_SETS + 2
+        want = -np.inf
+        for i in range(n):
+            pts = verify.oracle_dataset(i, n)
+            gap = reference_oracle_em(pts, seed=i)[0] - \
+                gmm.log_likelihood(gmm.fit_gmm(pts), pts)
+            want = max(want, gap)
+        [result] = verify.gmm_oracle_checks(n)
+        assert result.name == "gmm_vs_restart_oracle"
+        assert result.max_error == want
