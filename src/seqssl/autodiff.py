@@ -6,6 +6,16 @@ it, so teacher-side computations cost nothing at backward time. On the
 forward side an op whose inputs are all constants returns a bare result: it
 records no parents or backward closure on the tape, and work that only the
 backward pass needs (such as softplus's sigmoid) is left to the closure.
+
+Two chains of these ops are fused into one node each through ``_node``,
+because on the training path their cost was per-node overhead rather than
+arithmetic: ``backbone.encode`` (matmul, add, tanh, sub, softplus: the
+tokens of one clip) and ``backbone.classify`` (matmul, add, softmax_temp).
+Their backward closures make the same ``_accum`` calls, with the same
+expressions in the same order, as the ops here did on the tape, so the
+gradients are bit-identical. ``tanh`` and ``softplus`` have no caller left
+in the package; they stay as part of the op-by-op reference that the fused
+nodes are tested against (``tests/test_backbone.py``).
 """
 
 from __future__ import annotations

@@ -104,20 +104,22 @@ class ParamSet:
 
 
 def encode(params: ParamSet, clip: Clip) -> EncodedClip:
+    """Tokens of one clip, one tape node for the whole encoder, and their
+    temporal mean as a second node."""
     dims = params.dims
     if clip.frames.shape != (dims.clip_len, dims.d_in):
         raise ShapeMismatch(
             f"clip frames {clip.frames.shape}, expected {(dims.clip_len, dims.d_in)}")
-    x = ad.Tensor(clip.frames)
-    h = ad.tanh(ad.add(ad.matmul(x, params.params["enc.W1"]), params.params["enc.b1"]))
+    x = np.asarray(clip.frames, dtype=np.float64)
+    w1, b1, m = (params.params[k] for k in ("enc.W1", "enc.b1", "enc.M"))
+    h = np.tanh(x @ w1.data + b1.data)
     # Temporal mixing with rows constrained to sum to 1: each row is the
     # uniform average plus a zero-mean free part. Constant-in-time input
     # therefore passes through unchanged (identical token rows), while the
     # zero-mean part can realize signed difference filters that pick up
     # within-clip variation. The uniform part is a constant of the ParamSet.
-    unif = params.unif
-    m = params.params["enc.M"]
-    mix = ad.add(ad.sub(m, ad.matmul(m, unif)), unif)
+    unif = params.unif.data
+    mix = (m.data - m.data @ unif) + unif
     # Shifted softplus (convex, zero at zero) after mixing: for a clip whose
     # features fluctuate in time, signed mixing outputs swing around their
     # mean and convexity turns that swing into a positive shift of the pooled
@@ -125,14 +127,49 @@ def encode(params: ParamSet, clip: Clip) -> EncodedClip:
     # mean-pool. The -log(2) shift keeps activations roughly centered, so
     # normalized embeddings of different clips do not all collapse toward one
     # orthant direction. The shift is a constant of the ParamSet too.
-    tokens = ad.sub(ad.softplus(ad.matmul(mix, h)), params.shift)
+    pre = mix @ h
+
+    # The backward replays, one for one, the accumulations that the op-by-op
+    # tape (matmul, add, tanh, sub, softplus) made: only this node reads its
+    # internal values, so the tape ran those ops back to back. The sigmoid
+    # is left to the backward, so a teacher call never computes it.
+    def bwd(g):
+        g = g * (1.0 / (1.0 + np.exp(-pre)))
+        g_mix = g @ h.T
+        g_h = mix.T @ g
+        if m.requires_grad:
+            m._accum(g_mix)
+            m._accum((-g_mix) @ unif.T)
+        g_h = g_h * (1.0 - h * h)
+        if b1.requires_grad:
+            b1._accum(g_h.sum(axis=0))
+        if w1.requires_grad:
+            w1._accum(x.T @ g_h)
+
+    tokens = ad._node(np.logaddexp(0.0, pre) - params.shift.data, (w1, b1, m), bwd)
     return EncodedClip(tokens=tokens, pooled=ad.mean_rows(tokens))
 
 
 def classify(params: ParamSet, enc: EncodedClip) -> ad.Tensor:
-    """Class probability vector (softmax of the classifier head)."""
-    logits = ad.add(ad.matmul(params.params["cls.W"], enc.pooled), params.params["cls.b"])
-    return ad.softmax_temp(logits, 1.0)
+    """Class probability vector (softmax of the classifier head), one tape
+    node whose backward replays the op-by-op tape's order: b, W, pooled."""
+    w, b, pooled = params.params["cls.W"], params.params["cls.b"], enc.pooled
+    tau = 1.0
+    z = (w.data @ pooled.data + b.data) / tau
+    z = z - z.max()
+    e = np.exp(z)
+    y = e / e.sum()
+
+    def bwd(g):
+        g = y * (g - np.dot(g, y)) / tau
+        if b.requires_grad:
+            b._accum(g)
+        if w.requires_grad:
+            w._accum(np.outer(g, pooled.data))
+        if pooled.requires_grad:
+            pooled._accum(w.data.T @ g)
+
+    return ad._node(y, (w, b, pooled), bwd)
 
 
 def spatial_embed(params: ParamSet, enc: EncodedClip) -> ad.Tensor:

@@ -74,6 +74,37 @@ def reference_encode(params, frames):
     return tokens, tokens.mean(axis=0)
 
 
+def reference_tape_encode(params, frames):
+    """encode as the op-by-op tape built it before the encoder became one
+    node: ten nodes per clip."""
+    p = params.params
+    h = ad.tanh(ad.add(ad.matmul(ad.Tensor(frames), p["enc.W1"]), p["enc.b1"]))
+    m = p["enc.M"]
+    mix = ad.add(ad.sub(m, ad.matmul(m, params.unif)), params.unif)
+    tokens = ad.sub(ad.softplus(ad.matmul(mix, h)), params.shift)
+    return bb.EncodedClip(tokens=tokens, pooled=ad.mean_rows(tokens))
+
+
+def reference_tape_classify(params, enc):
+    """classify as the op-by-op tape built it: matmul, add, softmax_temp."""
+    p = params.params
+    return ad.softmax_temp(
+        ad.add(ad.matmul(p["cls.W"], enc.pooled), p["cls.b"]), 1.0)
+
+
+def tape_nodes(out):
+    """Number of nodes with a backward closure that backward() from out
+    would run."""
+    seen, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if node in seen or not node.requires_grad:
+            continue
+        seen.add(node)
+        stack.extend(node._parents)
+    return sum(node._backward_fn is not None for node in seen)
+
+
 def default_dims():
     """The dims of a run with the default configs, as TrainerState fills
     them."""
@@ -96,6 +127,60 @@ class TestEncodeBitIdentity:
             tokens, pooled = reference_encode(params, frames)
             assert np.array_equal(enc.tokens.data, tokens)
             assert np.array_equal(enc.pooled.data, pooled)
+
+    @pytest.mark.parametrize("make_dims", [lambda: DIMS, default_dims],
+                             ids=["small", "default"])
+    def test_gradients_match_reference_tape(self, make_dims):
+        # three clips share the parameters, so the test also sees the order
+        # in which the clips' contributions reach each gradient; the loss
+        # reads tokens through a temporal head and pooled through the
+        # classifier and the spatial head
+        dims = make_dims()
+        rng = np.random.default_rng(11)
+        clips = [rng.normal(size=(dims.clip_len, dims.d_in)) for _ in range(3)]
+        c_spat = rng.normal(size=dims.d_e)
+        c_temp = rng.normal(size=dims.d_k)
+
+        def grads(enc_fn, cls_fn):
+            s = bb.ParamSet.init(dims, np.random.default_rng(3), True)
+            terms = []
+            for i, frames in enumerate(clips):
+                enc = enc_fn(s, frames)
+                terms += [
+                    ad.cross_entropy(cls_fn(s, enc), i % dims.n_classes),
+                    ad.dot(bb.spatial_embed(s, enc), ad.Tensor(c_spat)),
+                    ad.dot(bb.temporal_embed(s, 1 + i % dims.n_scales,
+                                             enc.tokens), ad.Tensor(c_temp))]
+            loss = terms[0]
+            for t in terms[1:]:
+                loss = ad.add(loss, t)
+            loss.backward()
+            return {k: v.grad for k, v in s.params.items()}
+
+        got = grads(lambda s, f: bb.encode(s, make_clip(f)), bb.classify)
+        want = grads(reference_tape_encode, reference_tape_classify)
+        # the five encoder and classifier gradients, and the heads' too
+        for k in want:
+            assert want[k] is not None, k
+            assert np.array_equal(got[k], want[k]), k
+
+    def test_one_node_per_encode_and_per_classify(self):
+        s = make_params(0)
+        clip = make_clip(np.random.default_rng(0).normal(size=(4, 4)))
+        enc = bb.encode(s, clip)
+        leaves = set(s.params.values())
+        assert set(enc.tokens._parents) <= leaves
+        assert enc.pooled._parents == (enc.tokens,)
+        assert tape_nodes(enc.pooled) == 2
+        probs = bb.classify(s, enc)
+        assert set(probs._parents) <= leaves | {enc.pooled}
+        assert tape_nodes(probs) == 3
+        t = s.copy_as_teacher()
+        enc_t = bb.encode(t, clip)
+        for node in (enc_t.tokens, enc_t.pooled, bb.classify(t, enc_t)):
+            assert node._parents == ()
+            assert node._backward_fn is None
+            assert not node.requires_grad
 
     def test_shared_constants_survive_student_backward(self):
         s = make_params(0)
