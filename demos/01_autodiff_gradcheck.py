@@ -28,7 +28,7 @@ loss.backward()
 print(f"loss value          : {loss.item():.6f}")
 print(f"dL/dw (first row)   : {w.grad[0]}")
 
-# gradcheck perturbs every entry of w by +-eps and compares the numeric
+# gradcheck perturbs every entry of w by +-1e-5 and compares the numeric
 # slope against the analytic gradient; the returned number is the worst
 # relative error.
 err = ad.gradcheck(loss_of, w)

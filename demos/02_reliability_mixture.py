@@ -26,7 +26,7 @@ print(f"EM iterations       : {len(fit.log_likelihood_trace)}")
 print(f"high-similarity comp: index {fit.reliable_component}")
 
 for value in (0.85, 0.60, 0.30):
-    print(f"gamma({value:.2f}) = {gmm.reliability(fit, value):.4f}")
+    print(f"gamma({value:.2f}) = {gmm.reliability_many(fit, [value])[0]:.4f}")
 
 # The fit is monotone where it should be: higher similarity, higher gamma.
 grid = np.linspace(0.2, 0.95, 16)

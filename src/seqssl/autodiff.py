@@ -306,15 +306,15 @@ def cross_entropy(x, target):
     return _node(-np.log(x.data[target]), (x,), bwd)
 
 
-def gradcheck_params(loss_fn, params, eps=1e-5):
+def gradcheck_params(loss_fn, params):
     """Max relative errors between backward() gradients and central
     differences, over every entry of every tensor in ``params``.
 
     ``loss_fn()`` must rebuild a sequence of scalar losses from the current
     ``.data`` of ``params``; the result holds one worst error per scalar, in
-    the same order. Each entry is perturbed in place to +eps and -eps once,
-    every scalar is read from those two calls, and the entry is restored.
-    Those calls run with ``requires_grad`` off on every tensor in
+    the same order. Each entry is perturbed in place to +1e-5 and -1e-5
+    once, every scalar is read from those two calls, and the entry is
+    restored. Those calls run with ``requires_grad`` off on every tensor in
     ``params``; each tensor's flag is restored afterwards, also on error.
     Each scalar's analytic gradient comes from a fresh ``loss_fn()`` and one
     ``backward()``: the tape accumulates into intermediate nodes, so a graph
@@ -332,6 +332,7 @@ def gradcheck_params(loss_fn, params, eps=1e-5):
         analytic.append([p.grad.copy() if p.grad is not None
                          else np.zeros_like(p.data) for p in params])
     worst = [0.0] * len(analytic)
+    eps = 1e-5  # the central-difference step
     # forward values do not depend on the tape, so the perturbed passes run
     # on constants and record nothing; each flag comes back afterwards
     flags = [p.requires_grad for p in params]
@@ -357,8 +358,8 @@ def gradcheck_params(loss_fn, params, eps=1e-5):
     return worst
 
 
-def gradcheck(f, point, eps=1e-5):
+def gradcheck(f, point):
     """gradcheck_params of the single scalar f at a copy of one point (a
     Tensor or an array)."""
     p = parameter(point.data if isinstance(point, Tensor) else point)
-    return gradcheck_params(lambda: [f(p)], [p], eps)[0]
+    return gradcheck_params(lambda: [f(p)], [p])[0]

@@ -63,10 +63,11 @@ class ParamSet:
         self.params = params
         # encode's two constants, shared by all its calls with these
         # parameters: the uniform T x T mixing part and the T x d_h softplus
-        # shift; neither requires grad, so backward never writes to them
+        # shift, read-only so that no caller can change them
         t = dims.clip_len
-        self.unif = ad.Tensor(np.full((t, t), 1.0 / t))
-        self.shift = ad.Tensor(np.full((t, dims.d_h), np.log(2.0)))
+        self.unif = np.full((t, t), 1.0 / t)
+        self.shift = np.full((t, dims.d_h), np.log(2.0))
+        self.unif.flags.writeable = self.shift.flags.writeable = False
 
     @classmethod
     def init(cls, dims: ModelDims, rng: np.random.Generator, trainable: bool):
@@ -118,7 +119,7 @@ def encode(params: ParamSet, clip: Clip) -> EncodedClip:
     # therefore passes through unchanged (identical token rows), while the
     # zero-mean part can realize signed difference filters that pick up
     # within-clip variation. The uniform part is a constant of the ParamSet.
-    unif = params.unif.data
+    unif = params.unif
     mix = (m.data - m.data @ unif) + unif
     # Shifted softplus (convex, zero at zero) after mixing: for a clip whose
     # features fluctuate in time, signed mixing outputs swing around their
@@ -146,7 +147,7 @@ def encode(params: ParamSet, clip: Clip) -> EncodedClip:
         if w1.requires_grad:
             w1._accum(x.T @ g_h)
 
-    tokens = ad._node(np.logaddexp(0.0, pre) - params.shift.data, (w1, b1, m), bwd)
+    tokens = ad._node(np.logaddexp(0.0, pre) - params.shift, (w1, b1, m), bwd)
     return EncodedClip(tokens=tokens, pooled=ad.mean_rows(tokens))
 
 

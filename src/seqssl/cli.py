@@ -114,7 +114,7 @@ def _section(spec: dict, name: str) -> dict:
     return section
 
 
-def build_configs(spec: dict, seed_override=None):
+def build_configs(spec: dict):
     """The (TrainConfig, DatasetConfig, seeds) of a spec, checked and ready to
     run. The first seed trains; it seeds the dataset too, unless the dataset
     section sets its own seed. A train seed must equal the first seed."""
@@ -126,13 +126,16 @@ def build_configs(spec: dict, seed_override=None):
     _check_options("train", train_kw, TrainConfig())
     _check_options("dataset", dataset_kw, DatasetConfig())
     seeds = spec.get("seeds", [train_kw.get("seed", TrainConfig.seed)])
-    _check_seeds(seeds)
+    if not isinstance(seeds, list) or not seeds:
+        raise ConfigError(f"seeds must be a non-empty list, got {seeds!r}")
+    for s in seeds:
+        if not _is_int(s) or s < 0:
+            raise ConfigError(f"seeds: expected non-negative ints, got {s!r}")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"seeds must not repeat, got {seeds}")
     if train_kw.get("seed", seeds[0]) != seeds[0]:
         raise ConfigError(f"train option seed {train_kw['seed']} disagrees "
                           f"with the first of seeds {seeds}")
-    if seed_override is not None:
-        seeds = [seed_override]
-        _check_seeds(seeds)
     if "strides" in train_kw:
         train_kw["strides"] = tuple(train_kw["strides"])
     cfg = TrainConfig(**{**train_kw, "seed": seeds[0]})
@@ -154,16 +157,6 @@ def build_configs(spec: dict, seed_override=None):
     return cfg, ds_cfg, seeds
 
 
-def _check_seeds(seeds) -> None:
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError(f"seeds must be a non-empty list, got {seeds!r}")
-    for s in seeds:
-        if not _is_int(s) or s < 0:
-            raise ConfigError(f"seeds: expected non-negative ints, got {s!r}")
-    if len(set(seeds)) < len(seeds):
-        raise ConfigError(f"seeds must not repeat, got {seeds}")
-
-
 def _out_dir(args, spec: dict) -> str:
     """The output directory: --out, else the spec's out_dir, which must be a
     string wherever it is given."""
@@ -178,7 +171,7 @@ def _out_dir(args, spec: dict) -> str:
 
 def cmd_train(args) -> int:
     spec = load_spec(args.config)
-    cfg, ds_cfg, _ = build_configs(spec, args.seed)
+    cfg, ds_cfg, _ = build_configs(spec)
     summary = run_training(cfg, ds_cfg, _out_dir(args, spec))
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
@@ -186,7 +179,7 @@ def cmd_train(args) -> int:
 
 def cmd_ablate(args) -> int:
     spec = load_spec(args.config)
-    cfg, ds_cfg, seeds = build_configs(spec, args.seed)
+    cfg, ds_cfg, seeds = build_configs(spec)
     out = _out_dir(args, spec)
     os.makedirs(out, exist_ok=True)
 
@@ -253,7 +246,7 @@ def cmd_verify(args) -> int:
 
 def cmd_gen_data(args) -> int:
     spec = load_spec(args.config)
-    _, ds_cfg, _ = build_configs(spec, args.seed)
+    _, ds_cfg, _ = build_configs(spec)
     out = _out_dir(args, spec)
     os.makedirs(out, exist_ok=True)
     ds = SynthDataset(ds_cfg)
@@ -275,7 +268,6 @@ def main(argv=None) -> int:
                      ("gen-data", cmd_gen_data)):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
         p.set_defaults(fn=fn)
     sub.add_parser("verify").set_defaults(fn=cmd_verify)

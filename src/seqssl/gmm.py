@@ -151,13 +151,9 @@ def _make_fit(means, variances, weights, trace) -> GmmFit:
                   reliable_component=reliable)
 
 
-def reliability(fit: GmmFit, x) -> float:
-    """Posterior probability that x belongs to the reliable component."""
-    return float(reliability_many(fit, np.asarray([x], dtype=np.float64))[0])
-
-
 def reliability_many(fit: GmmFit, xs: np.ndarray) -> np.ndarray:
-    """Vectorized reliability over an array of points."""
+    """Posterior probability that each of the points xs belongs to the
+    reliable component."""
     sq = (np.asarray(xs, dtype=np.float64)[..., None] - fit.means) ** 2
     lj = _log_joint(sq, fit.variances, fit.weights)
     m = lj.max(axis=-1, keepdims=True)

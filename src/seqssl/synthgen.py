@@ -25,7 +25,7 @@ train-both spec asks for 3,110 videos, and regenerating one costs about
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class SynthClass:
     spatial_signature: np.ndarray
     motif_kind: str
     motif_freq: float
-    confusion_partner: Optional[int] = None
+    confusion_partner: int
 
 
 @dataclass
@@ -194,7 +194,7 @@ def extract_clip(frames: np.ndarray, start: int, stride: int,
         raise VideoTooShort(
             f"start {start}, span {need}, video length {frames.shape[0]}")
     idx = start + stride * np.arange(clip_len)
-    return Clip(frames=frames[idx].copy(), stride=stride, start=start)
+    return Clip(frames=frames[idx], stride=stride, start=start)
 
 
 def weak_augment(clip: Clip, rng: np.random.Generator,
@@ -237,7 +237,7 @@ def difficulty_check(ds: SynthDataset) -> float:
     seen = set()
     for cls in ds.classes:
         partner = cls.confusion_partner
-        if partner is None or (partner, cls.class_id) in seen:
+        if (partner, cls.class_id) in seen:
             continue
         other = ds.classes[partner]
         if not np.allclose(cls.spatial_signature, other.spatial_signature):

@@ -158,23 +158,23 @@ class TrainerState:
 def fused_pseudo_label(teacher: bb.ParamSet, clips: List[bb.Clip]):
     """Argmax of the summed teacher predictions over all clips; ties go to
     the lowest class index (np.argmax convention)."""
-    per_clip = [bb.classify(teacher, bb.encode(teacher, c)).data for c in clips]
-    fused = np.sum(per_clip, axis=0)
+    fused = np.sum([bb.classify(teacher, bb.encode(teacher, c)).data
+                    for c in clips], axis=0)
     y_hat = int(np.argmax(fused))
-    return y_hat, float(fused[y_hat] / len(clips)), per_clip
+    return y_hat, float(fused[y_hat] / len(clips))
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
     return v / max(float(np.linalg.norm(v)), 1e-12)
 
 
-def sgd_step(params: bb.ParamSet, velocity: dict, lr: float, momentum: float,
+def sgd_step(params: bb.ParamSet, velocity: dict, lr: float,
              weight_decay: float) -> None:
-    """v <- momentum*v + grad + wd*p; p <- p - lr*v."""
+    """v <- MOMENTUM*v + grad + wd*p; p <- p - lr*v."""
     for k in params.names():
         p = params.params[k]
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        velocity[k] = momentum * velocity[k] + g + weight_decay * p.data
+        velocity[k] = MOMENTUM * velocity[k] + g + weight_decay * p.data
         p.data = p.data - lr * velocity[k]
 
 
@@ -213,7 +213,7 @@ def prepare_step_plan(state: TrainerState, labeled_recs, unlabeled_recs,
         strong_short = strong_augment(short, rng, frames)
         weak += [weak_augment(c, rng, frames) for c in longs]
 
-        y_hat, fused_max, _ = fused_pseudo_label(state.teacher, weak)
+        y_hat, fused_max = fused_pseudo_label(state.teacher, weak)
         unlabeled_items.append(UnlabeledItem(
             weak=weak, strong_short=strong_short, pseudo_label=y_hat,
             gate=fused_max > cfg.delta, true_label=rec.class_id))
@@ -246,10 +246,11 @@ def prepare_step_plan(state: TrainerState, labeled_recs, unlabeled_recs,
             it.gamma = it.selection.anchor_reliability
 
     # the plan uses the centers as they stood before this step; then the
-    # running centers absorb this batch's teacher logits
+    # running centers absorb this batch's teacher logits. Each center is
+    # rebound, never written in place, so a copy of the list is a snapshot.
     centers_snapshot = None
     if cfg.use_mtl:
-        centers_snapshot = [c.copy() for c in state.mtl_centers]
+        centers_snapshot = list(state.mtl_centers)
         # the centers track the very logits the alignment loss centres: the
         # teacher head on the *calibrated* long tokens
         per_item = [[z for z, _ in teacher_scale_logits(state.teacher,
@@ -327,8 +328,7 @@ def train_step(state: TrainerState, labeled_recs, unlabeled_recs, epoch: int,
         raise NonFiniteLoss(f"step {state.global_step} (epoch {epoch}): "
                             f"non-finite total loss {total.item()!r} ({named})")
     total.backward()
-    sgd_step(state.student, state.velocity, lr_schedule(epoch), MOMENTUM,
-             WEIGHT_DECAY)
+    sgd_step(state.student, state.velocity, lr_schedule(epoch), WEIGHT_DECAY)
     bb.ema_update(state.teacher, state.student, EMA_MOMENTUM)
 
     if cfg.use_acl:
@@ -448,16 +448,12 @@ def run_training(cfg: TrainConfig, ds_cfg: DatasetConfig, out_dir: str,
                                    state.student, state.teacher, cfg_hash)
 
     def write_epochs(f):
+        # the columns are the record's keys: ints as they are, floats by _fmt
         ew = csv.writer(f)
-        ew.writerow(["epoch", "student_top1", "student_top5", "teacher_top1",
-                     "teacher_top5", "pseudo_acc", "n_accepted",
-                     "pseudo_acc_all", "acceptance_rate"])
+        ew.writerow(list(epoch_rows[0]))
         for row in epoch_rows:
-            ew.writerow([row["epoch"], _fmt(row["student_top1"]),
-                         _fmt(row["student_top5"]), _fmt(row["teacher_top1"]),
-                         _fmt(row["teacher_top5"]), _fmt(row["pseudo_acc"]),
-                         row["n_accepted"], _fmt(row["pseudo_acc_all"]),
-                         _fmt(row["acceptance_rate"])])
+            ew.writerow([v if isinstance(v, int) else _fmt(v)
+                         for v in row.values()])
     bb.write_atomic(os.path.join(out_dir, "epochs.csv"), write_epochs)
 
     summary = {

@@ -223,9 +223,8 @@ class TestConfigErrors:
                                                       train_seed):
         spec = {**TINY, "train": {**TINY["train"], "seed": train_seed}}
         out = tmp_path / "o"
-        # the spec's two seeds are compared before --seed replaces them
         rc = cli.main(["train", "--config", write_spec(tmp_path, spec),
-                       "--out", str(out), "--seed", str(train_seed)])
+                       "--out", str(out)])
         assert rc == 2
         assert (f"train option seed {train_seed} disagrees with the first "
                 f"of seeds [0]") in capsys.readouterr().err
@@ -233,12 +232,15 @@ class TestConfigErrors:
         spec["train"]["seed"] = 0
         assert cli.build_configs(spec)[0].seed == 0
 
-    def test_negative_seed_override_exits_2(self, tmp_path):
-        out = tmp_path / "o"
-        rc = cli.main(["train", "--config", write_spec(tmp_path, TINY),
-                       "--out", str(out), "--seed", "-1"])
-        assert rc == 2
-        assert not out.exists()
+    @pytest.mark.parametrize("command", ["train", "ablate", "gen-data"])
+    def test_seed_flag_exits_2(self, tmp_path, command):
+        # the spec's seeds list is the one way to set a seed
+        spec_path = write_spec(tmp_path, TINY)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", spec_path,
+                      "--out", str(tmp_path / "o"), "--seed", "1"])
+        assert exc.value.code == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
 
 class TestResolution:
@@ -259,13 +261,14 @@ class TestResolution:
         spec = {**TINY_NO_DATASET_SEED, "seeds": [3, 4]}
         cfg, ds_cfg, seeds = cli.build_configs(spec)
         assert (cfg.seed, ds_cfg.seed, seeds) == (3, 3, [3, 4])
-        cfg, ds_cfg, seeds = cli.build_configs(spec, seed_override=7)
+        spec = {**TINY_NO_DATASET_SEED, "seeds": [7]}
+        cfg, ds_cfg, seeds = cli.build_configs(spec)
         assert (cfg.seed, ds_cfg.seed, seeds) == (7, 7, [7])
 
     def test_dataset_section_seed_wins(self):
         spec = {**TINY, "dataset": {**TINY["dataset"], "seed": 5},
-                "seeds": [3]}
-        cfg, ds_cfg, _ = cli.build_configs(spec, seed_override=7)
+                "seeds": [7]}
+        cfg, ds_cfg, _ = cli.build_configs(spec)
         assert (cfg.seed, ds_cfg.seed) == (7, 5)
 
     def test_train_seed_is_the_default_seed_list(self):
@@ -337,11 +340,12 @@ class TestTrain:
         assert not (out / "final_eval.json").exists()
 
     def test_seed_override_changes_metrics(self, tmp_path):
-        spec_path = write_spec(tmp_path, TINY)
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        cli.main(["train", "--config", spec_path, "--out", str(out1)])
-        cli.main(["train", "--config", spec_path, "--out", str(out2),
-                  "--seed", "7"])
+        cli.main(["train", "--config", write_spec(tmp_path, TINY),
+                  "--out", str(out1)])
+        cli.main(["train", "--config",
+                  write_spec(tmp_path, {**TINY, "seeds": [7]}, "seed7.json"),
+                  "--out", str(out2)])
         assert (out1 / "metrics.csv").read_bytes() != \
             (out2 / "metrics.csv").read_bytes()
 

@@ -67,8 +67,8 @@ class TestFitGmm:
         means = np.sort(fit.means)
         assert means[0] == pytest.approx(0.0, abs=1e-3)
         assert means[1] == pytest.approx(1.0, abs=1e-3)
-        assert gmm.reliability(fit, 1.0) > 0.99
-        assert gmm.reliability(fit, 0.0) < 0.01
+        assert gmm.reliability_many(fit, [1.0])[0] > 0.99
+        assert gmm.reliability_many(fit, [0.0])[0] < 0.01
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
@@ -93,8 +93,8 @@ class TestFitGmm:
         rng = np.random.default_rng(9)
         fit2 = gmm.fit_gmm(rng.permutation(pts))
         for x in np.linspace(-1, 1, 21):
-            assert gmm.reliability(fit1, x) == pytest.approx(
-                gmm.reliability(fit2, x), abs=1e-9)
+            assert gmm.reliability_many(fit1, [x])[0] == pytest.approx(
+                gmm.reliability_many(fit2, [x])[0], abs=1e-9)
 
 
 class TestReliability:
@@ -102,17 +102,17 @@ class TestReliability:
         fit = gmm.fit_gmm(two_cluster(1))
         other = 1 - fit.reliable_component
         for x in np.linspace(-1, 1, 41):
-            r = gmm.reliability(fit, x)
+            r = gmm.reliability_many(fit, [x])[0]
             flipped = gmm.GmmFit(fit.means, fit.variances, fit.weights,
                                  fit.log_likelihood_trace, other)
-            assert abs(r + gmm.reliability(flipped, x) - 1.0) < 1e-12
+            assert abs(r + gmm.reliability_many(flipped, [x])[0] - 1.0) < 1e-12
 
     def test_extremes(self):
         fit = gmm.fit_gmm(two_cluster(2))
         hi = fit.means[fit.reliable_component]
         lo = fit.means[1 - fit.reliable_component]
-        assert gmm.reliability(fit, hi) > 0.99
-        assert gmm.reliability(fit, lo) < 0.01
+        assert gmm.reliability_many(fit, [hi])[0] > 0.99
+        assert gmm.reliability_many(fit, [lo])[0] < 0.01
 
     def test_equal_components_give_half(self):
         fit = gmm.GmmFit(means=np.array([0.5, 0.5]),
@@ -120,13 +120,13 @@ class TestReliability:
                          weights=np.array([0.5, 0.5]),
                          log_likelihood_trace=[], reliable_component=0)
         for x in np.linspace(-1, 1, 11):
-            assert gmm.reliability(fit, x) == pytest.approx(0.5, abs=1e-12)
+            assert gmm.reliability_many(fit, [x])[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_monotone_with_equal_variances(self):
         fit = gmm.fit_gmm(two_cluster(4))
         fit.variances = np.array([0.01, 0.01])
         xs = np.linspace(-1, 1, 101)
-        rs = [gmm.reliability(fit, x) for x in xs]
+        rs = [gmm.reliability_many(fit, [x])[0] for x in xs]
         assert (np.diff(rs) >= -1e-12).all()
 
 

@@ -62,13 +62,13 @@ class TestOracleEm:
         want, stops = reference_oracle_em(points, n_restarts=8, seed=2)
         assert None in stops
         assert any(s is not None for s in stops)
-        assert verify.oracle_em(points, n_restarts=8, seed=2) == want
+        assert verify.oracle_em_many([points], [2], n_restarts=8)[0] == want
 
     def test_restarts_converge_at_different_iterations(self):
         points = two_clusters(3, 0.6)
         want, stops = reference_oracle_em(points, n_restarts=8, seed=3)
         assert None not in stops and len(set(stops)) > 1
-        assert verify.oracle_em(points, n_restarts=8, seed=3) == want
+        assert verify.oracle_em_many([points], [3], n_restarts=8)[0] == want
 
     def test_independent_of_gmm(self, monkeypatch):
         # the oracle is written against the formulas: it must give the same
@@ -83,7 +83,7 @@ class TestOracleEm:
             monkeypatch.setattr(gmm, name, broken)
         points = two_clusters(3, 0.6)
         want, _ = reference_oracle_em(points, n_restarts=8, seed=3)
-        assert verify.oracle_em(points, n_restarts=8, seed=3) == want
+        assert verify.oracle_em_many([points], [3], n_restarts=8)[0] == want
         other = one_cluster(2)
         assert verify.oracle_em_many([points, other], [3, 2], n_restarts=8) \
             == [want, reference_oracle_em(other, n_restarts=8, seed=2)[0]]
@@ -91,7 +91,7 @@ class TestOracleEm:
     @pytest.mark.parametrize("i", [0, 10, 19])
     def test_verify_datasets(self, i):
         points = verify.oracle_dataset(i)
-        assert verify.oracle_em(points, seed=i) == \
+        assert verify.oracle_em_many([points], [i])[0] == \
             reference_oracle_em(points, seed=i)[0]
 
     @settings(max_examples=50, deadline=None)
@@ -104,7 +104,7 @@ class TestOracleEm:
            n_restarts=st.integers(1, 6), seed=st.integers(0, 2**16))
     def test_batch_matches_restarts_one_by_one(self, points, n_restarts, seed):
         want, _ = reference_oracle_em(points, n_restarts, seed)
-        assert verify.oracle_em(points, n_restarts, seed) == want
+        assert verify.oracle_em_many([points], [seed], n_restarts)[0] == want
 
 
 class TestOracleEmMany:
