@@ -8,7 +8,7 @@ import numpy as np
 
 from seqssl import mtl
 from seqssl import trainer as tr
-from seqssl.backbone import encode
+from seqssl.backbone import encode, temporal_embed
 from seqssl.synthgen import (DatasetConfig, SynthDataset, clip_span,
                              strong_augment, weak_augment)
 
@@ -30,16 +30,24 @@ k_same = mtl.calibrate(q, q)
 print(f"self-calibration attention  : {k_same.attention.round(6)}")
 
 # the views are drawn in training's order (weak short, strong short, then
-# the weak longs); the teacher logits are centred by the state's running
-# centres (zero at the start of training)
+# the weak longs); the trainer centres the teacher logits by the state's
+# running centres (zero at the start of training) and the loss aligns the
+# student to those targets
 weak = [weak_augment(clips[0], rng, frames)]
 strong_short = strong_augment(clips[0], rng, frames)
 weak += [weak_augment(c, rng, frames) for c in clips[1:]]
-loss, per_scale = mtl.mtl_loss_from_clips(
-    weak, strong_short, state.student, state.teacher, tr.TAU_S, tr.TAU_T,
-    state.mtl_centers)
+targets = [z - c for z, c in zip(mtl.teacher_scale_logits(state.teacher, weak),
+                                 state.mtl_centers)]
+loss = mtl.mtl_loss_from_clips(strong_short, state.student, targets, tr.TAU_S,
+                               tr.TAU_T)
 print(f"alignment loss (mean over scales): {loss.item():.4f}")
-for n, (scale_loss, mean_attn) in enumerate(per_scale, start=1):
+q_teacher = encode(state.teacher, weak[0]).tokens.data
+tokens = encode(state.student, strong_short).tokens
+for n, target in enumerate(targets, start=1):
+    scale_loss = mtl.alignment_loss(temporal_embed(state.student, n, tokens),
+                                    target, tr.TAU_S, tr.TAU_T).item()
+    mean_attn = mtl.calibrate(
+        q_teacher, encode(state.teacher, weak[n]).tokens.data).attention.mean()
     stride = cfg.strides[n]
     print(f"  scale {n} (stride {stride:2d}): loss={scale_loss:.4f}, "
           f"mean attention={mean_attn:.4f}")

@@ -92,10 +92,10 @@ def acl_loss(anchor, sel: AclSelection, tau: float) -> ad.Tensor:
     if not len(sel.positives):
         raise EmptyPositives("selection has no positive samples")
     anchor = ad.as_tensor(anchor)
-    pos = ad.Tensor(np.asarray(sel.positives, dtype=np.float64))
+    pos = ad.Tensor(sel.positives)
     s_pos = ad.tsum(ad.exp(ad.scale(ad.matmul(pos, anchor), 1.0 / tau)))
     if len(sel.negatives):
-        neg = ad.Tensor(np.asarray(sel.negatives, dtype=np.float64))
+        neg = ad.Tensor(sel.negatives)
         s_neg = ad.tsum(ad.exp(ad.scale(ad.matmul(neg, anchor), 1.0 / tau)))
         total = ad.add(s_pos, s_neg)
     else:

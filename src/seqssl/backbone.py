@@ -155,14 +155,13 @@ def classify(params: ParamSet, enc: EncodedClip) -> ad.Tensor:
     """Class probability vector (softmax of the classifier head), one tape
     node whose backward replays the op-by-op tape's order: b, W, pooled."""
     w, b, pooled = params.params["cls.W"], params.params["cls.b"], enc.pooled
-    tau = 1.0
-    z = (w.data @ pooled.data + b.data) / tau
+    z = w.data @ pooled.data + b.data
     z = z - z.max()
     e = np.exp(z)
     y = e / e.sum()
 
     def bwd(g):
-        g = y * (g - np.dot(g, y)) / tau
+        g = y * (g - np.dot(g, y))
         if b.requires_grad:
             b._accum(g)
         if w.requires_grad:

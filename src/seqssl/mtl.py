@@ -60,15 +60,14 @@ def alignment_loss(student_logits, teacher_logits, tau_s: float,
                    tau_t: float) -> ad.Tensor:
     """Cross-entropy H(P^k, P^q) between the sharpened teacher distribution
     and the student distribution."""
-    p_q = ad.softmax_temp(ad.as_tensor(student_logits), tau_s)
-    p_k = ad.softmax_temp(ad.as_tensor(teacher_logits), tau_t)
+    p_q = ad.softmax_temp(student_logits, tau_s)
+    p_k = ad.softmax_temp(teacher_logits, tau_t)
     return ad.scale(ad.dot(p_k, ad.log(p_q)), -1.0)
 
 
 def teacher_scale_logits(teacher: ParamSet, weak: List[Clip]):
-    """Uncentred teacher logits of the calibrated long-term tokens, one
-    (logits, calibration) pair per long-term scale. ``weak`` holds the weak
-    views, short-term clip first.
+    """Uncentred teacher logits of the calibrated long-term tokens, one array
+    per long-term scale. ``weak`` holds the weak views, short-term clip first.
 
     The calibration query is the teacher's view of the short clip: the whole
     target side stays constant in student parameters, so alignment cannot be
@@ -79,40 +78,19 @@ def teacher_scale_logits(teacher: ParamSet, weak: List[Clip]):
     out = []
     for n, long_clip in enumerate(weak[1:], start=1):
         calib = calibrate(q_tokens, encode(teacher, long_clip).tokens.data)
-        out.append((temporal_embed(teacher, n, calib.calibrated_tokens).data,
-                    calib))
+        out.append(temporal_embed(teacher, n, calib.calibrated_tokens).data)
     return out
 
 
-def mtl_loss_from_clips(weak: List[Clip], strong_short: Clip,
-                        student: ParamSet, teacher: ParamSet, tau_s: float,
-                        tau_t: float, centers):
-    """MTL loss from already-augmented clips: ``weak`` holds the weak views,
-    short-term clip first, and ``strong_short`` is the strong view of the
-    short-term clip.
-
-    `centers` (one vector per scale) is subtracted from the teacher logits
-    before sharpening. It must be the running mean of those same logits,
-    i.e. of ``teacher_scale_logits``. Uncentred, the sharpened teacher
-    target is whatever logit dominates for every input and the alignment
-    collapses to zero in a few steps; a running center keeps the target
-    distribution spread over the embedding dimensions so alignment keeps
-    exerting pressure to separate inputs (standard remedy in
-    self-distillation).
-
-    Returns (loss, per_scale) where per_scale holds (alignment loss value,
-    mean attention weight) per long-term scale.
-    """
+def mtl_loss_from_clips(strong_short: Clip, student: ParamSet, targets,
+                        tau_s: float, tau_t: float) -> ad.Tensor:
+    """Mean over the long-term scales of the alignment loss between the
+    student's temporal logits of the strong short-term clip and
+    ``targets[n-1]``, the teacher logits of scale n (constants)."""
     qstar_tokens = encode(student, strong_short).tokens    # aligned student repr
-    losses = []
-    per_scale = []
-    for n, (z_k, calib) in enumerate(teacher_scale_logits(teacher, weak),
-                                     start=1):
-        z_q = temporal_embed(student, n, qstar_tokens)
-        loss_n = alignment_loss(z_q, z_k - centers[n - 1], tau_s, tau_t)
-        losses.append(loss_n)
-        per_scale.append((loss_n.item(), float(calib.attention.mean())))
-    total = losses[0]
-    for loss_n in losses[1:]:
-        total = ad.add(total, loss_n)
-    return ad.scale(total, 1.0 / len(losses)), per_scale
+    total = None
+    for n, target in enumerate(targets, start=1):
+        loss_n = alignment_loss(temporal_embed(student, n, qstar_tokens),
+                                target, tau_s, tau_t)
+        total = loss_n if total is None else ad.add(total, loss_n)
+    return ad.scale(total, 1.0 / len(targets))

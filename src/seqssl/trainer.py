@@ -35,8 +35,12 @@ from .protobank import MemoryBank, PrototypeTable
 from .synthgen import (DatasetConfig, SynthDataset, VideoRecord, clip_span,
                        extract_clip, strong_augment, weak_augment)
 
-# momentum of the running center of teacher temporal logits (anti-collapse
-# bias for the alignment loss)
+# momentum of the running centre of the teacher's temporal logits. The MTL
+# targets are those logits minus the centre (DINO's anti-collapse centring,
+# Caron et al. 2021): uncentred, the sharpened teacher target is whatever
+# logit dominates for every input and the alignment collapses to zero in a
+# few steps; centred, the targets stay spread over the embedding dimensions,
+# so alignment keeps pressing the student to separate inputs.
 CENTER_MOMENTUM = 0.9
 # a run writes checkpoint.json every CHECKPOINT_EVERY epochs and after its last
 CHECKPOINT_EVERY = 10
@@ -125,8 +129,8 @@ class UnlabeledItem:
 class StepPlan:
     labeled: List[LabeledItem]
     unlabeled: List[UnlabeledItem]
-    # snapshot of the per-scale teacher-logit centers used by the alignment
-    # loss this step (constants w.r.t. the student)
+    # snapshot of the per-scale teacher-logit centers that compute_losses
+    # subtracts to make this step's MTL targets (constants w.r.t. the student)
     mtl_centers: Optional[List[np.ndarray]] = None
 
 
@@ -251,10 +255,9 @@ def prepare_step_plan(state: TrainerState, labeled_recs, unlabeled_recs,
     centers_snapshot = None
     if cfg.use_mtl:
         centers_snapshot = list(state.mtl_centers)
-        # the centers track the very logits the alignment loss centres: the
+        # the centers track the very logits the MTL targets centre: the
         # teacher head on the *calibrated* long tokens
-        per_item = [[z for z, _ in teacher_scale_logits(state.teacher,
-                                                        item.weak)]
+        per_item = [teacher_scale_logits(state.teacher, item.weak)
                     for item in unlabeled_items]
         for n, batch in enumerate(zip(*per_item)):
             state.mtl_centers[n] = (
@@ -300,10 +303,10 @@ def compute_losses(student: bb.ParamSet, teacher: bb.ParamSet, plan: StepPlan,
                               acl_mod.acl_loss(anchor, item.selection, TAU))
             n_anchors += 1
         if cfg.use_mtl:
-            term, _ = mtl_loss_from_clips(item.weak, item.strong_short,
-                                          student, teacher, TAU_S, TAU_T,
-                                          plan.mtl_centers)
-            mtl_terms = ad.add(mtl_terms, term)
+            targets = [z - c for z, c in zip(
+                teacher_scale_logits(teacher, item.weak), plan.mtl_centers)]
+            mtl_terms = ad.add(mtl_terms, mtl_loss_from_clips(
+                item.strong_short, student, targets, TAU_S, TAU_T))
 
     n_u = max(1, len(plan.unlabeled))
     loss_u = ad.scale(loss_u, 1.0 / n_u)

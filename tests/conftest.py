@@ -1,4 +1,7 @@
 import re
+import time
+
+import pytest
 
 CRITERIA = {
     1: "gradient correctness of every loss",
@@ -14,6 +17,17 @@ CRITERIA = {
 }
 
 _outcomes = {}
+
+
+@pytest.fixture(scope="session")
+def verification():
+    """`seqssl verify`'s checks, run once per session and shared by the
+    acceptance criteria 1-3 and the CLI test: (all_passed, results, wall
+    seconds of the whole run)."""
+    from seqssl import verify
+    t0 = time.monotonic()
+    ok, results = verify.run_verification()
+    return ok, results, time.monotonic() - t0
 
 
 def pytest_runtest_logreport(report):

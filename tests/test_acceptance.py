@@ -24,16 +24,27 @@ from seqssl.synthgen import DatasetConfig, SynthDataset
 # ---------------------------------------------------------------------------
 # criterion 1: every loss passes a central-finite-difference gradient check
 # over all student parameters at 5 seeded configurations, max relative
-# error < 1e-4, in under 2 minutes.
+# error < 1e-4, in under 2 minutes. Seeds 0-2 are `seqssl verify`'s, read
+# from the session's one verification run; seeds 3 and 4 run here. The time
+# bound covers the whole verification run plus seeds 3 and 4.
 
-def test_criterion_1_gradient_correctness():
+LOSSES = ("L_l", "L_u", "L_ACL", "L_MTL", "total")
+
+
+def test_criterion_1_gradient_correctness(verification):
+    _, results, verify_s = verification
     t0 = time.monotonic()
+    checks = [r for r in results if r.name.startswith("gradcheck[")]
+    for seed in (3, 4):
+        checks.extend(verify.loss_gradchecks(seed))
+    elapsed = verify_s + time.monotonic() - t0
+    assert sorted(r.name for r in checks) == sorted(
+        f"gradcheck[{loss}]@seed{seed}"
+        for seed in range(5) for loss in LOSSES)
     worst = 0.0
-    for seed in range(5):
-        for res in verify.loss_gradchecks(seed):
-            assert res.passed, f"{res.name}: {res.max_error:.3e}"
-            worst = max(worst, res.max_error)
-    elapsed = time.monotonic() - t0
+    for res in checks:
+        assert res.passed, f"{res.name}: {res.max_error:.3e}"
+        worst = max(worst, res.max_error)
     assert worst < 1e-4
     assert elapsed < 120.0, f"gradchecks took {elapsed:.1f}s"
 
@@ -42,12 +53,15 @@ def test_criterion_1_gradient_correctness():
 # criterion 2: on 20 seeded 1-D mixtures (n=100, separation 0.1..0.7) the
 # fit's log-likelihood is within 1e-3 of a 50-restart oracle; at separation
 # >= 0.5 with sigma=0.05, at least 95% of points get posterior > 0.9 for
-# their true component. Under 30 seconds.
+# their true component. Under 30 seconds. The oracle comparison is
+# `seqssl verify`'s, read from the session's one verification run; the time
+# bound covers the whole verification run plus the posterior checks.
 
-def test_criterion_2_gmm_oracle_equivalence():
+def test_criterion_2_gmm_oracle_equivalence(verification):
+    _, results, verify_s = verification
     t0 = time.monotonic()
-    for res in verify.gmm_oracle_checks(n_datasets=20):
-        assert res.passed, f"{res.name}: gap {res.max_error:.3e}"
+    (res,) = [r for r in results if r.name == "gmm_vs_restart_oracle"]
+    assert res.passed, f"{res.name}: gap {res.max_error:.3e}"
     for i, sep in enumerate((0.5, 0.55, 0.6, 0.65, 0.7)):
         rng = np.random.default_rng(3000 + i)
         lo, hi = 0.5 - sep / 2, 0.5 + sep / 2
@@ -59,17 +73,19 @@ def test_criterion_2_gmm_oracle_equivalence():
         post_true = np.where(truth == 1, post_hi, 1.0 - post_hi)
         frac = float(np.mean(post_true > 0.9))
         assert frac >= 0.95, f"separation {sep}: only {frac:.2%} confident"
-    elapsed = time.monotonic() - t0
+    elapsed = verify_s + time.monotonic() - t0
     assert elapsed < 30.0, f"gmm checks took {elapsed:.1f}s"
 
 
 # ---------------------------------------------------------------------------
 # criterion 3: contrastive loss matches a direct exponential-sum evaluation
-# of the formula within 1e-9 on 50 seeded anchor/positive/negative sets.
+# of the formula within 1e-9 on 50 seeded anchor/positive/negative sets,
+# read from the session's one verification run.
 
-def test_criterion_3_acl_loss_oracle():
-    for res in verify.acl_oracle_checks():
-        assert res.passed, f"{res.name}: {res.max_error:.3e}"
+def test_criterion_3_acl_loss_oracle(verification):
+    _, results, _ = verification
+    (res,) = [r for r in results if r.name == "acl_loss_vs_direct_sum"]
+    assert res.passed, f"{res.name}: {res.max_error:.3e}"
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,6 @@ from seqssl.errors import DegenerateVector, ShapeMismatch, VideoTooShort
 
 DIMS = bb.ModelDims(d_in=4, d_h=6, d_e=4, d_k=5, n_classes=3, clip_len=4,
                     n_scales=2)
-# zero teacher-logit centres: z - 0.0 == z exactly, so the loss is uncentred
-ZERO_CENTERS = [np.zeros(DIMS.d_k)] * DIMS.n_scales
 
 
 def make_params(seed=0, trainable=True):
@@ -193,34 +191,45 @@ class TestMtlLoss:
     def test_single_scale_reduction(self):
         student, teacher = make_params(0), make_params(1, trainable=False)
         weak, ss = self._clips(0)
-        total, per_scale = mtl.mtl_loss_from_clips(weak[:2], ss, student,
-                                                   teacher, 0.1, 0.04,
-                                                   ZERO_CENTERS)
-        assert total.item() == pytest.approx(per_scale[0][0], abs=1e-12)
+        targets = mtl.teacher_scale_logits(teacher, weak[:2])
+        total = mtl.mtl_loss_from_clips(ss, student, targets, 0.1, 0.04)
+        z_q = bb.temporal_embed(student, 1, bb.encode(student, ss).tokens)
+        scale_1 = mtl.alignment_loss(z_q, targets[0], 0.1, 0.04)
+        assert total.item() == pytest.approx(scale_1.item(), abs=1e-12)
 
     def test_matched_case_equals_teacher_entropy(self):
         student = make_params(0)
         teacher = student.copy_as_teacher()
         rng = np.random.default_rng(5)
         clip = make_clip(rng.normal(size=(4, 4)))
-        total, per_scale = mtl.mtl_loss_from_clips([clip, clip, clip], clip,
-                                                   student, teacher, 0.1, 0.1,
-                                                   ZERO_CENTERS)
-        for n, (loss_n, att) in enumerate(per_scale, start=1):
-            assert att == pytest.approx(1.0, abs=1e-12)
+        targets = mtl.teacher_scale_logits(teacher, [clip, clip, clip])
+        total = mtl.mtl_loss_from_clips(clip, student, targets, 0.1, 0.1)
+        # every long clip is the short one, so each scale calibrates the
+        # teacher's tokens against themselves
+        q = bb.encode(teacher, clip).tokens.data
+        att = mtl.calibrate(q, q).attention
+        assert float(att.mean()) == pytest.approx(1.0, abs=1e-12)
+        tokens = bb.encode(student, clip).tokens
+        per_scale = []
+        for n, target in enumerate(targets, start=1):
+            loss_n = mtl.alignment_loss(bb.temporal_embed(student, n, tokens),
+                                        target, 0.1, 0.1).item()
             zk = bb.temporal_embed(teacher, n,
                                    bb.encode(teacher, clip).tokens).data
             p = np.exp(zk / 0.1 - np.max(zk / 0.1))
             p /= p.sum()
             entropy = -np.sum(p * np.log(p))
             assert loss_n == pytest.approx(entropy, abs=1e-9)
+            per_scale.append(loss_n)
+        assert total.item() == pytest.approx(np.mean(per_scale), abs=1e-12)
 
     def test_student_gradient_and_teacher_gradient_absent(self):
         student, teacher = make_params(2), make_params(3, trainable=False)
         weak, ss = self._clips(1)
         student.zero_grad()
-        total, _ = mtl.mtl_loss_from_clips(weak, ss, student, teacher,
-                                           0.1, 0.04, ZERO_CENTERS)
+        targets = mtl.teacher_scale_logits(teacher, weak)
+        assert all(isinstance(z, np.ndarray) for z in targets)
+        total = mtl.mtl_loss_from_clips(ss, student, targets, 0.1, 0.04)
         total.backward()
         assert all(p.grad is None for p in teacher.params.values())
         assert any(p.grad is not None and np.abs(p.grad).max() > 0

@@ -368,6 +368,40 @@ class TestMtlCenters:
                                        rtol=0.0, atol=1e-12)
             np.testing.assert_array_equal(plan.mtl_centers[n - 1], old[n - 1])
 
+    def test_loss_aligns_to_teacher_logits_minus_plan_centers(self):
+        # the trainer, not the loss, centres the MTL targets: L_MTL must be
+        # the mean over items and scales of the alignment loss against the
+        # teacher's scale logits minus the plan's centre for that scale
+        cfg, ds = small()
+        state = tr.TrainerState(cfg, ds)
+        rng = np.random.default_rng(0)
+        plan = tr.prepare_step_plan(state, ds.labeled[:2], ds.unlabeled[:3],
+                                    rng)
+        # distinct per dimension and per scale: a constant shift of the
+        # logits would leave the softmax, and so the loss, unchanged
+        plan.mtl_centers = [rng.normal(size=cfg.d_k)
+                            for _ in range(cfg.n_scales)]
+        _, parts = tr.compute_losses(state.student, state.teacher, plan, cfg)
+
+        def mean_alignment(centers):
+            per_item = []
+            for it in plan.unlabeled:
+                tokens = bb.encode(state.student, it.strong_short).tokens
+                logits = mtl.teacher_scale_logits(state.teacher, it.weak)
+                per_item.append(np.mean([mtl.alignment_loss(
+                    bb.temporal_embed(state.student, n, tokens), z - c,
+                    tr.TAU_S, tr.TAU_T).item()
+                    for n, (z, c) in enumerate(zip(logits, centers),
+                                               start=1)]))
+            return np.mean(per_item)
+
+        want = mean_alignment(plan.mtl_centers)
+        assert parts["L_MTL"].item() == pytest.approx(want, rel=0.0,
+                                                      abs=1e-12)
+        # the centres matter here, so an uncentred loss would fail above
+        uncentred = mean_alignment([np.zeros(cfg.d_k)] * cfg.n_scales)
+        assert abs(want - uncentred) > 1e-6
+
 
 class TestEvaluate:
     def test_top5_ge_top1_and_range(self):
