@@ -10,15 +10,17 @@ import seqssl.autodiff as ad
 
 rng = np.random.default_rng(0)
 
-# A miniature "encoder + classifier": matmul -> tanh -> mean-pool ->
-# cross-entropy. Only `w` is treated as learnable.
+# A miniature "encoder + classifier": matmul -> softplus -> mean-pool ->
+# softmax -> cross-entropy, with softplus written as log(1 + exp(.)) from the
+# tape's own ops. Only `w` is treated as learnable.
 x = ad.Tensor(rng.normal(size=(5, 3)))
 w = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
 b = ad.Tensor(rng.normal(size=4), requires_grad=True)
+ones = ad.Tensor(np.ones((5, 4)))
 
 
 def loss_of(weights):
-    h = ad.tanh(ad.add(ad.matmul(x, weights), b))
+    h = ad.log(ad.add(ad.exp(ad.add(ad.matmul(x, weights), b)), ones))
     pooled = ad.mean_rows(h)
     probs = ad.softmax_temp(pooled, 0.5)
     return ad.cross_entropy(probs, target=2)

@@ -5,17 +5,17 @@ without ``requires_grad`` is a plain constant: no graph is recorded through
 it, so teacher-side computations cost nothing at backward time. On the
 forward side an op whose inputs are all constants returns a bare result: it
 records no parents or backward closure on the tape, and work that only the
-backward pass needs (such as softplus's sigmoid) is left to the closure.
+backward pass needs (such as the encoder's sigmoid) is left to the closure.
 
-Two chains of these ops are fused into one node each through ``_node``,
-because on the training path their cost was per-node overhead rather than
+Two chains of ops are fused into one node each through ``_node``, because
+on the training path their cost was per-node overhead rather than
 arithmetic: ``backbone.encode`` (matmul, add, tanh, sub, softplus: the
 tokens of one clip) and ``backbone.classify`` (matmul, add, softmax_temp).
 Their backward closures make the same ``_accum`` calls, with the same
-expressions in the same order, as the ops here did on the tape, so the
-gradients are bit-identical. ``tanh`` and ``softplus`` have no caller left
-in the package; they stay as part of the op-by-op reference that the fused
-nodes are tested against (``tests/test_backbone.py``).
+expressions in the same order, as the op-by-op chains did on the tape, so
+the gradients are bit-identical. The tests keep those chains, with their
+own ``tanh`` and ``softplus`` ops, as the reference that the fused nodes are
+checked against (``tests/test_backbone.py``).
 """
 
 from __future__ import annotations
@@ -189,27 +189,6 @@ def dot(a, b):
             b._accum(g * a.data)
 
     return _node(np.dot(a.data, b.data), (a, b), bwd)
-
-
-def tanh(a):
-    a = as_tensor(a)
-    y = np.tanh(a.data)
-
-    def bwd(g):
-        a._accum(g * (1.0 - y * y))
-
-    return _node(y, (a,), bwd)
-
-
-def softplus(a):
-    """Elementwise log(1 + exp(x)), computed stably for large |x|."""
-    a = as_tensor(a)
-    y = np.logaddexp(0.0, a.data)
-
-    def bwd(g):
-        a._accum(g * (1.0 / (1.0 + np.exp(-a.data))))
-
-    return _node(y, (a,), bwd)
 
 
 def exp(a):

@@ -1,9 +1,10 @@
 """Tiny temporal encoder with classifier, spatial head and per-scale temporal heads.
 
 The encoder is a per-frame affine map with tanh followed by one learned
-temporal mixing layer: a row-stochastic (softmax-normalized) T x T matrix
-applied over the time axis, then tanh. Row-stochastic mixing keeps constant
-input constant while remaining sensitive to frame order.
+temporal mixing layer: a row-stochastic T x T matrix applied over the time
+axis, then the shifted softplus log(1 + exp(x)) - log 2, which is zero at
+zero. Row-stochastic mixing keeps constant input constant while remaining
+sensitive to frame order.
 
 The same parameter layout is instantiated twice: a trainable student and an
 EMA teacher whose tensors never require grad.

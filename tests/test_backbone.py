@@ -1,7 +1,10 @@
 import json
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqssl import autodiff as ad
 from seqssl import backbone as bb
@@ -74,14 +77,65 @@ def reference_encode(params, frames):
     return tokens, tokens.mean(axis=0)
 
 
+def tanh(a):
+    """Elementwise tanh as one op of the tape."""
+    a = ad.as_tensor(a)
+    y = np.tanh(a.data)
+
+    def bwd(g):
+        a._accum(g * (1.0 - y * y))
+
+    return ad._node(y, (a,), bwd)
+
+
+def softplus(a):
+    """Elementwise log(1 + exp(x)) as one op of the tape, computed stably for
+    large |x|."""
+    a = ad.as_tensor(a)
+    y = np.logaddexp(0.0, a.data)
+
+    def bwd(g):
+        a._accum(g * (1.0 / (1.0 + np.exp(-a.data))))
+
+    return ad._node(y, (a,), bwd)
+
+
+# the two ops above as entries of tests/test_autodiff.py's list of every op
+_VEC = np.random.default_rng(0).uniform(0.5, 1.5, size=3)
+REFERENCE_OPS = [("tanh", tanh, (_VEC,)), ("softplus", softplus, (_VEC,))]
+
+
+class TestReferenceOps:
+    def test_softplus_values_and_gradient(self):
+        x = ad.Tensor([-50.0, -1.0, 0.0, 1.0, 50.0], requires_grad=True)
+        y = softplus(x)
+        np.testing.assert_allclose(y.data, np.logaddexp(0.0, x.data),
+                                   atol=1e-15)
+        assert y.data[0] > 0.0  # stable, no underflow to exactly 0 needed
+        assert y.data[2] == pytest.approx(np.log(2.0))
+        err = ad.gradcheck(lambda w: ad.tsum(softplus(w)),
+                           ad.Tensor([0.3, -0.7, 1.2]))
+        assert err < 1e-8
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=hnp.arrays(np.float64,
+                        st.tuples(st.integers(1, 12), st.integers(1, 70)),
+                        elements=st.floats(-500.0, 500.0)))
+    def test_softplus_gradient_is_the_sigmoid(self, x):
+        g = np.cos(x)   # any upstream gradient
+        p = ad.parameter(x)
+        softplus(p)._backward_fn(g)
+        assert np.array_equal(p.grad, g * (1 / (1 + np.exp(-x))))
+
+
 def reference_tape_encode(params, frames):
     """encode as the op-by-op tape built it before the encoder became one
     node: ten nodes per clip."""
     p = params.params
-    h = ad.tanh(ad.add(ad.matmul(ad.Tensor(frames), p["enc.W1"]), p["enc.b1"]))
+    h = tanh(ad.add(ad.matmul(ad.Tensor(frames), p["enc.W1"]), p["enc.b1"]))
     m = p["enc.M"]
     mix = ad.add(ad.sub(m, ad.matmul(m, params.unif)), params.unif)
-    tokens = ad.sub(ad.softplus(ad.matmul(mix, h)), params.shift)
+    tokens = ad.sub(softplus(ad.matmul(mix, h)), params.shift)
     return bb.EncodedClip(tokens=tokens, pooled=ad.mean_rows(tokens))
 
 

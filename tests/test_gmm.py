@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqssl import gmm
@@ -137,7 +137,26 @@ cosine_sets = st.lists(st.floats(-1.0, 1.0), min_size=gmm.MIN_POINTS,
     lambda xs: np.std(xs) >= gmm.MIN_SPREAD)
 
 
+# converges so slowly that EM runs the full MAX_ITERS iterations
+SLOW = np.clip(np.random.default_rng(2).normal(0.5, 0.1, 60), -1, 1)
+
+
 class TestFitGmmProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(points=cosine_sets)
+    @example(points=SLOW.tolist())
+    @example(points=[0.0, 0.0, 1.0, 1.0])   # converged at the first change
+    def test_stops_on_the_first_small_change(self, points):
+        # the stop rule, read from the trace alone: EM ends on the first
+        # absolute log-likelihood change below LL_TOL, and only MAX_ITERS
+        # ends a fit whose changes all stay at or above it
+        trace = gmm.fit_gmm(points).log_likelihood_trace
+        changes = np.abs(np.diff(trace))
+        assert 2 <= len(trace) <= gmm.MAX_ITERS
+        assert (changes[:-1] >= gmm.LL_TOL).all()
+        if len(trace) < gmm.MAX_ITERS:
+            assert changes[-1] < gmm.LL_TOL
+
     @settings(max_examples=50, deadline=None)
     @given(points=cosine_sets, data=st.data())
     def test_identical_under_permutation(self, points, data):
@@ -164,8 +183,7 @@ class TestFitGmmProperties:
 
 class TestFitGmmMany:
     def test_row_at_max_iters_beside_early_rows(self):
-        slow = np.clip(np.random.default_rng(2).normal(0.5, 0.1, 60), -1, 1)
-        sets = [two_cluster(0, n=30), slow, two_cluster(1, n=5),
+        sets = [two_cluster(0, n=30), SLOW, two_cluster(1, n=5),
                 [0.0, 0.0, 1.0, 1.0]]
         fits = gmm.fit_gmm_many(sets)
         iters = [len(f.log_likelihood_trace) for f in fits]
