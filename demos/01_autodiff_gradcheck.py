@@ -38,8 +38,7 @@ print(f"max relative error  : {err:.3e}")
 assert err < 1e-6
 
 # The graph refuses silent shape mistakes instead of broadcasting:
-from seqssl.errors import ShapeMismatch
 try:
     ad.matmul(w, x)
-except ShapeMismatch as e:
+except ValueError as e:
     print(f"shape guard         : {e}")

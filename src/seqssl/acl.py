@@ -11,7 +11,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import gmm
-from .errors import EmptyPositives
 from .protobank import MemoryBank
 
 @dataclass
@@ -90,7 +89,7 @@ def acl_loss(anchor, sel: AclSelection, tau: float) -> ad.Tensor:
     Positives and negatives may be arrays of rows or lists of vectors.
     """
     if not len(sel.positives):
-        raise EmptyPositives("selection has no positive samples")
+        raise ValueError("selection has no positive samples")
     anchor = ad.as_tensor(anchor)
     pos = ad.Tensor(sel.positives)
     s_pos = ad.tsum(ad.exp(ad.scale(ad.matmul(pos, anchor), 1.0 / tau)))

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateVector, IndexOutOfRange, NotScalar, ShapeMismatch
 
 ETA_NORM = 1e-12
 
@@ -61,7 +60,7 @@ class Tensor:
 
     def backward(self):
         if self.data.shape != ():
-            raise NotScalar(f"backward requires a scalar, got shape {self.data.shape}")
+            raise ValueError(f"backward requires a scalar, got shape {self.data.shape}")
         # tensors hash by identity, so the visited set holds the nodes
         topo = []
         visited = set()
@@ -124,14 +123,14 @@ def add(a, b):
             if b.requires_grad:
                 b._accum(g.sum(axis=0))
     else:
-        raise ShapeMismatch(f"add: {sa} vs {sb}")
+        raise ValueError(f"add: {sa} vs {sb}")
     return _node(a.data + b.data, (a, b), bwd)
 
 
 def sub(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.data.shape != b.data.shape:
-        raise ShapeMismatch(f"sub: {a.shape} vs {b.shape}")
+        raise ValueError(f"sub: {a.shape} vs {b.shape}")
 
     def bwd(g):
         if a.requires_grad:
@@ -157,9 +156,9 @@ def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     sa, sb = a.data.shape, b.data.shape
     if len(sa) != 2 or len(sb) not in (1, 2):
-        raise ShapeMismatch(f"matmul: ndim {len(sa)} @ {len(sb)}")
+        raise ValueError(f"matmul: ndim {len(sa)} @ {len(sb)}")
     if sa[1] != sb[0]:
-        raise ShapeMismatch(f"matmul: inner dims {sa} @ {sb}")
+        raise ValueError(f"matmul: inner dims {sa} @ {sb}")
 
     if len(sb) == 2:
         def bwd(g):
@@ -180,7 +179,7 @@ def matmul(a, b):
 def dot(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 1 or a.data.shape != b.data.shape:
-        raise ShapeMismatch(f"dot: {a.shape} vs {b.shape}")
+        raise ValueError(f"dot: {a.shape} vs {b.shape}")
 
     def bwd(g):
         if a.requires_grad:
@@ -223,7 +222,7 @@ def mean_rows(a):
     """Mean over axis 0 of a 2-D tensor (temporal pooling)."""
     a = as_tensor(a)
     if a.data.ndim != 2:
-        raise ShapeMismatch(f"mean_rows expects 2-D, got {a.shape}")
+        raise ValueError(f"mean_rows expects 2-D, got {a.shape}")
     t = a.data.shape[0]
 
     def bwd(g):
@@ -238,10 +237,10 @@ def l2_normalize(v):
     """Normalize a vector to unit length; full Jacobian (I - uu^T)/||v||."""
     v = as_tensor(v)
     if v.data.ndim != 1:
-        raise ShapeMismatch(f"l2_normalize expects 1-D, got {v.shape}")
+        raise ValueError(f"l2_normalize expects 1-D, got {v.shape}")
     n = np.linalg.norm(v.data)
     if n < ETA_NORM:
-        raise DegenerateVector(f"norm {n} below floor {ETA_NORM}")
+        raise ValueError(f"norm {n} below floor {ETA_NORM}")
     u = v.data / n
 
     def bwd(g):
@@ -254,7 +253,7 @@ def softmax_temp(logits, tau):
     """Temperature softmax over a 1-D tensor; subtract-max stabilized."""
     logits = as_tensor(logits)
     if logits.data.ndim != 1:
-        raise ShapeMismatch(f"softmax_temp expects 1-D, got {logits.shape}")
+        raise ValueError(f"softmax_temp expects 1-D, got {logits.shape}")
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     z = logits.data / tau
@@ -272,10 +271,10 @@ def cross_entropy(x, target):
     """-log p(target) of a probability vector x."""
     x = as_tensor(x)
     if x.data.ndim != 1:
-        raise ShapeMismatch(f"cross_entropy expects 1-D, got {x.shape}")
+        raise ValueError(f"cross_entropy expects 1-D, got {x.shape}")
     k = x.data.shape[0]
     if not (isinstance(target, (int, np.integer)) and 0 <= target < k):
-        raise IndexOutOfRange(f"class index {target} for {k} classes")
+        raise IndexError(f"class index {target} for {k} classes")
 
     def bwd(g):
         gz = np.zeros_like(x.data)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ScaleOutOfRange, ShapeMismatch
 
 INIT_SCALE = 0.1
 # The per-frame map needs preactivations of order one for tanh curvature to
@@ -110,7 +109,7 @@ def encode(params: ParamSet, clip: Clip) -> EncodedClip:
     temporal mean as a second node."""
     dims = params.dims
     if clip.frames.shape != (dims.clip_len, dims.d_in):
-        raise ShapeMismatch(
+        raise ValueError(
             f"clip frames {clip.frames.shape}, expected {(dims.clip_len, dims.d_in)}")
     x = np.asarray(clip.frames, dtype=np.float64)
     w1, b1, m = (params.params[k] for k in ("enc.W1", "enc.b1", "enc.M"))
@@ -182,7 +181,7 @@ def spatial_embed(params: ParamSet, enc: EncodedClip) -> ad.Tensor:
 def temporal_embed(params: ParamSet, scale_index: int, tokens: ad.Tensor) -> ad.Tensor:
     """Logits of the scale-specific temporal head on mean-pooled tokens."""
     if not 1 <= scale_index <= params.dims.n_scales:
-        raise ScaleOutOfRange(
+        raise IndexError(
             f"scale {scale_index} outside 1..{params.dims.n_scales}")
     pooled = ad.mean_rows(tokens)
     w = params.params[f"temp{scale_index}.W"]
@@ -195,7 +194,7 @@ def ema_update(teacher: ParamSet, student: ParamSet, m: float) -> None:
     for k in student.names():
         pt, ps = teacher.params[k], student.params[k]
         if pt.data.shape != ps.data.shape:
-            raise ShapeMismatch(f"ema_update: {k} {pt.data.shape} vs {ps.data.shape}")
+            raise ValueError(f"ema_update: {k} {pt.data.shape} vs {ps.data.shape}")
         pt.data = m * pt.data + (1.0 - m) * ps.data
 
 

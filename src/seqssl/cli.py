@@ -21,11 +21,15 @@ import sys
 from dataclasses import replace
 
 from .backbone import write_atomic
-from .errors import ConfigError
 from .synthgen import (DatasetConfig, SynthDataset, clip_span,
                        difficulty_check, labeled_per_class)
 from .trainer import TrainConfig, run_training
 from .verify import run_verification
+
+
+class ConfigError(Exception):
+    """A spec or command line that cannot run; main exits 2 on it."""
+
 
 ABLATION_CONFIGS = (
     ("baseline", False, False),
@@ -101,6 +105,7 @@ RANGES = {
         (("n_classes",), lambda v: v >= 2, "at least 2"),
         (("n_classes",), lambda v: v % 2 == 0, "even (classes are paired)"),
         (("per_class", "d_in"), lambda v: v >= 1, "at least 1"),
+        (("labeled_fraction",), lambda v: 0 < v <= 1, "in (0, 1]"),
         (("seed",), lambda v: v >= 0, "at least 0"),
         (("noise",), lambda v: 0 <= v < math.inf, "finite and at least 0"),
     ),

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSpread, TooFewPoints
 
 VAR_FLOOR = 1e-6
 # below these a set is too small or too concentrated for a meaningful mixture
@@ -54,9 +53,9 @@ def fit_gmm_many(sets) -> list:
 
     Each set converges when its absolute log-likelihood change drops below
     LL_TOL, or after MAX_ITERS iterations, and then leaves the batch. Raises
-    TooFewPoints for a set of < 4 points and DegenerateSpread when a set's
-    sample standard deviation is < 1e-6 (callers route those cases to the
-    degenerate scoring path instead).
+    ValueError for a set of < 4 points or a sample standard deviation
+    < 1e-6 (callers route those cases to the degenerate scoring path
+    instead).
 
     Every fit is bit-identical to fitting its set alone: element-wise terms
     are computed in the same order, each set's log-likelihood is summed over
@@ -68,10 +67,10 @@ def fit_gmm_many(sets) -> list:
         return []
     for x in xs:
         if x.size < MIN_POINTS:
-            raise TooFewPoints(
+            raise ValueError(
                 f"need at least {MIN_POINTS} points, got {x.size}")
         if x.std() < MIN_SPREAD:
-            raise DegenerateSpread(
+            raise ValueError(
                 f"sample standard deviation below {MIN_SPREAD}")
 
     n = np.array([[x.size] for x in xs], dtype=int)          # (B, 1)

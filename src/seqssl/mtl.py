@@ -11,7 +11,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .backbone import Clip, ParamSet, encode, temporal_embed
-from .errors import DegenerateVector, ShapeMismatch, VideoTooShort
 from .synthgen import clip_span, extract_clip
 
 
@@ -28,7 +27,7 @@ def sample_multiscale(video_frames: np.ndarray, strides, clip_len: int,
     length = video_frames.shape[0]
     need = clip_span(clip_len, max(strides))
     if length < need:
-        raise VideoTooShort(f"video length {length}, need {need}")
+        raise ValueError(f"video length {length}, need {need}")
     clips = []
     for stride in strides:
         start = int(rng.integers(0, length - clip_span(clip_len, stride) + 1))
@@ -46,11 +45,11 @@ def calibrate(query_tokens: np.ndarray,
     array arithmetic with no tape."""
     q, k = query_tokens, key_tokens
     if q.ndim != 2 or q.shape != k.shape:
-        raise ShapeMismatch(f"calibrate: {q.shape} vs {k.shape}")
+        raise ValueError(f"calibrate: {q.shape} vs {k.shape}")
     nq = np.linalg.norm(q, axis=1)
     nk = np.linalg.norm(k, axis=1)
     if nq.min() < ad.ETA_NORM or nk.min() < ad.ETA_NORM:
-        raise DegenerateVector("calibrate on near-zero row")
+        raise ValueError("calibrate on near-zero row")
     attention = (q * k).sum(axis=1) / (nq * nk)
     return CalibrationResult(attention=attention,
                              calibrated_tokens=k * attention[:, None])

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NotNormalized, ShapeMismatch
 
 UNIT_TOL = 1e-6
 
@@ -23,10 +22,10 @@ class PrototypeTable:
 
     def update(self, class_id: int, f_l: np.ndarray, beta: float) -> None:
         if not 0 <= class_id < self.prototypes.shape[0]:
-            raise IndexOutOfRange(f"class {class_id}")
+            raise IndexError(f"class {class_id}")
         if np.shape(f_l) != self.prototypes.shape[1:]:
-            raise ShapeMismatch(f"embedding shape {np.shape(f_l)}, "
-                                f"prototypes {self.prototypes.shape[1:]}")
+            raise ValueError(f"embedding shape {np.shape(f_l)}, "
+                             f"prototypes {self.prototypes.shape[1:]}")
         if self.initialized[class_id]:
             self.prototypes[class_id] = (
                 (1.0 - beta) * f_l + beta * self.prototypes[class_id])
@@ -37,7 +36,7 @@ class PrototypeTable:
     def get(self, class_id: int) -> np.ndarray | None:
         """The prototype of ``class_id``, or None before its first update."""
         if not 0 <= class_id < self.prototypes.shape[0]:
-            raise IndexOutOfRange(f"class {class_id}")
+            raise IndexError(f"class {class_id}")
         if not self.initialized[class_id]:
             return None
         return self.prototypes[class_id]
@@ -71,11 +70,11 @@ class MemoryBank:
              pseudo_label: int) -> None:
         for v, rows in ((embedding, self.embeddings), (score, self.scores)):
             if np.shape(v) != rows.shape[1:]:
-                raise ShapeMismatch(
+                raise ValueError(
                     f"vector shape {np.shape(v)}, bank rows {rows.shape[1:]}")
             # written as "not <=" so that a NaN norm fails too
             if not abs(np.linalg.norm(v) - 1.0) <= UNIT_TOL:
-                raise NotNormalized(f"norm {np.linalg.norm(v)}")
+                raise ValueError(f"norm {np.linalg.norm(v)}")
         start = max(len(self) + 1 - self.capacity, 0)
         self.embeddings = _appended(self.embeddings, start, embedding)
         self.scores = _appended(self.scores, start, score)

@@ -24,13 +24,12 @@ train-both spec asks for 3,110 videos, and regenerating one costs about
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List
 
 import numpy as np
 
 from .backbone import Clip
-from .errors import ConfigError, VideoTooShort
 
 
 @dataclass
@@ -42,9 +41,6 @@ class DatasetConfig:
     video_len: int = 300
     noise: float = 0.05
     seed: int = 0
-
-    def to_dict(self):
-        return dict(self.__dict__)
 
 
 @dataclass
@@ -75,7 +71,7 @@ def _motif(kind: str, freq: float, phase: float, t: np.ndarray) -> np.ndarray:
     elif kind == "chirp":
         base = np.sin(theta * (1.0 + t / (2.0 * t[-1] if t[-1] > 0 else 1.0)))
     else:
-        raise ConfigError(f"unknown motif kind {kind!r}")
+        raise ValueError(f"unknown motif kind {kind!r}")
     # deep modulation: the within-clip amplitude distribution is the temporal
     # fingerprint that separates waveforms, so give it plenty of dynamic
     # range (sign flips included — the video mean stays at 1.0)
@@ -88,7 +84,7 @@ def _unit(v):
 
 def _build_classes(cfg: DatasetConfig) -> List[SynthClass]:
     if cfg.n_classes % 2 != 0:
-        raise ConfigError("n_classes must be even (classes are paired)")
+        raise ValueError("n_classes must be even (classes are paired)")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xC1A5]))
     classes = []
     n_pairs = cfg.n_classes // 2
@@ -124,7 +120,7 @@ def _build_classes(cfg: DatasetConfig) -> List[SynthClass]:
 def labeled_per_class(cfg: DatasetConfig) -> int:
     """How many of each class's videos are labeled (at least one)."""
     if not 0.0 < cfg.labeled_fraction <= 1.0:
-        raise ConfigError("labeled_fraction must be in (0, 1]")
+        raise ValueError("labeled_fraction must be in (0, 1]")
     return max(1, int(np.floor(cfg.per_class * cfg.labeled_fraction)))
 
 
@@ -172,7 +168,7 @@ class SynthDataset:
 
     def manifest(self) -> dict:
         return {
-            "config": self.cfg.to_dict(),
+            "config": asdict(self.cfg),
             "videos": [
                 {"source_id": r.source_id, "class_id": r.class_id,
                  "labeled": r.labeled}
@@ -191,7 +187,7 @@ def extract_clip(frames: np.ndarray, start: int, stride: int,
                  clip_len: int) -> Clip:
     need = clip_span(clip_len, stride)
     if start < 0 or start + need > frames.shape[0]:
-        raise VideoTooShort(
+        raise ValueError(
             f"start {start}, span {need}, video length {frames.shape[0]}")
     idx = start + stride * np.arange(clip_len)
     return Clip(frames=frames[idx], stride=stride, start=start)
@@ -204,16 +200,14 @@ def weak_augment(clip: Clip, rng: np.random.Generator,
     dropped."""
     factor = rng.uniform(0.9, 1.1)
     jitter = int(rng.integers(-1, 2))
-    frames = clip.frames
-    start = clip.start
     if jitter != 0:
-        need = clip_span(clip.frames.shape[0], clip.stride)
-        new_start = start + jitter
-        if 0 <= new_start and new_start + need <= video_frames.shape[0]:
-            start = new_start
-            idx = start + clip.stride * np.arange(clip.frames.shape[0])
-            frames = video_frames[idx]
-    return Clip(frames=frames * factor, stride=clip.stride, start=start)
+        span = clip_span(clip.frames.shape[0], clip.stride)
+        start = clip.start + jitter
+        if 0 <= start and start + span <= video_frames.shape[0]:
+            clip = extract_clip(video_frames, start, clip.stride,
+                                clip.frames.shape[0])
+    return Clip(frames=clip.frames * factor, stride=clip.stride,
+                start=clip.start)
 
 
 def strong_augment(clip: Clip, rng: np.random.Generator,

@@ -20,7 +20,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -28,7 +28,6 @@ import numpy as np
 from . import acl as acl_mod
 from . import autodiff as ad
 from . import backbone as bb
-from .errors import EmptyBatch, EmptyDataset, NonFiniteLoss
 from .mtl import (mtl_loss_from_clips, sample_multiscale,
                   teacher_scale_logits)
 from .protobank import MemoryBank, PrototypeTable
@@ -81,11 +80,6 @@ class TrainConfig:
     def n_scales(self) -> int:
         """Long-term scales: every stride after the first."""
         return len(self.strides) - 1
-
-    def to_dict(self):
-        d = dict(self.__dict__)
-        d["strides"] = list(self.strides)
-        return d
 
 
 @dataclass
@@ -277,7 +271,7 @@ def compute_losses(student: bb.ParamSet, teacher: bb.ParamSet, plan: StepPlan,
     zero = ad.Tensor(0.0)
 
     if not plan.labeled:
-        raise EmptyBatch("labeled batch is empty")
+        raise ValueError("labeled batch is empty")
     loss_l = zero
     for item in plan.labeled:
         per_view = zero
@@ -328,8 +322,9 @@ def train_step(state: TrainerState, labeled_recs, unlabeled_recs, epoch: int,
     total, parts = compute_losses(state.student, state.teacher, plan, cfg)
     if not math.isfinite(total.item()):
         named = ", ".join(f"{k} {v.item()!r}" for k, v in parts.items())
-        raise NonFiniteLoss(f"step {state.global_step} (epoch {epoch}): "
-                            f"non-finite total loss {total.item()!r} ({named})")
+        raise FloatingPointError(
+            f"step {state.global_step} (epoch {epoch}): "
+            f"non-finite total loss {total.item()!r} ({named})")
     total.backward()
     sgd_step(state.student, state.velocity, lr_schedule(epoch), WEIGHT_DECAY)
     bb.ema_update(state.teacher, state.student, EMA_MOMENTUM)
@@ -359,7 +354,7 @@ def train_step(state: TrainerState, labeled_recs, unlabeled_recs, epoch: int,
 def evaluate(params: bb.ParamSet, ds: SynthDataset, records, cfg: TrainConfig):
     """Top-1/top-5 accuracy on a single augmentation-free center clip per video."""
     if not records:
-        raise EmptyDataset("evaluation set is empty")
+        raise ValueError("evaluation set is empty")
     stride = cfg.strides[0]
     span = clip_span(cfg.clip_len, stride)
     top1 = top5 = 0
@@ -371,7 +366,7 @@ def evaluate(params: bb.ParamSet, ds: SynthDataset, records, cfg: TrainConfig):
         # stable ranking: argmax ties resolve to the lowest class index
         if int(np.argmax(probs)) == rec.class_id:
             top1 += 1
-        order = np.lexsort((np.arange(len(probs)), -probs))
+        order = np.argsort(-probs, kind="stable")
         if rec.class_id in order[:5]:
             top5 += 1
     n = len(records)
@@ -396,7 +391,7 @@ def run_training(cfg: TrainConfig, ds_cfg: DatasetConfig, out_dir: str,
     state = TrainerState(cfg, ds)
     eval_recs = eval_records(ds, eval_per_class)
 
-    resolved = {"train": cfg.to_dict(), "dataset": ds_cfg.to_dict()}
+    resolved = {"train": asdict(cfg), "dataset": asdict(ds_cfg)}
     cfg_hash = bb.config_hash(resolved)
     bb.write_atomic(os.path.join(out_dir, "resolved_config.json"),
                     lambda f: json.dump(resolved, f, indent=2, sort_keys=True))
@@ -414,13 +409,11 @@ def run_training(cfg: TrainConfig, ds_cfg: DatasetConfig, out_dir: str,
                 np.random.SeedSequence([cfg.seed, epoch, 0x5C]))
             lab_order = erng.permutation(len(ds.labeled))
             unl_order = erng.permutation(len(ds.unlabeled))
-            li = 0
             n_acc = n_corr = n_corr_all = n_seen = 0
             for s in range(steps_per_epoch):
-                labeled_recs = []
-                for _ in range(cfg.b_l):
-                    labeled_recs.append(ds.labeled[lab_order[li % len(lab_order)]])
-                    li += 1
+                labeled_recs = [
+                    ds.labeled[lab_order[(s * cfg.b_l + j) % len(lab_order)]]
+                    for j in range(cfg.b_l)]
                 u_lo = s * cfg.b_u
                 unlabeled_recs = [ds.unlabeled[unl_order[i % len(unl_order)]]
                                   for i in range(u_lo, u_lo + cfg.b_u)]

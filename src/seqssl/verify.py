@@ -28,7 +28,6 @@ from . import acl as acl_mod
 from . import autodiff as ad
 from . import gmm
 from . import trainer as tr
-from .errors import ShapeMismatch
 from .synthgen import DatasetConfig, SynthDataset
 
 
@@ -108,7 +107,7 @@ def oracle_em_many(sets, seeds, n_restarts: int = 50) -> List[float]:
     """
     sets = [np.asarray(pts, dtype=np.float64) for pts in sets]
     if len({pts.shape for pts in sets}) != 1 or sets[0].ndim != 1:
-        raise ShapeMismatch(
+        raise ValueError(
             f"oracle sets must be 1-D and of one size, got "
             f"{[pts.shape for pts in sets]}")
     n = sets[0].size

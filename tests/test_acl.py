@@ -3,7 +3,6 @@ import pytest
 
 from seqssl import acl
 from seqssl import autodiff as ad
-from seqssl.errors import EmptyPositives
 from seqssl.protobank import MemoryBank
 
 
@@ -259,7 +258,8 @@ class TestAclLoss:
     def test_empty_positives(self):
         sel = acl.AclSelection(positives=[], negatives=[],
                                anchor_reliability=0.0, used_fallback=True)
-        with pytest.raises(EmptyPositives):
+        with pytest.raises(ValueError,
+                           match="selection has no positive samples"):
             acl.acl_loss(np.ones(2), sel, 0.07)
 
     def test_monotone_in_similarities(self):

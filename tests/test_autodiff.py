@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqssl import autodiff as ad
-from seqssl.errors import DegenerateVector, IndexOutOfRange, NotScalar, ShapeMismatch
 from test_backbone import REFERENCE_OPS, softplus, tanh
 
 
@@ -27,7 +26,8 @@ class TestMatmul:
         assert out.data.item() == 11.0
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError,
+                           match=r"matmul: inner dims \(2, 3\) @ \(2, 3\)"):
             ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))))
 
 
@@ -41,7 +41,7 @@ class TestL2Normalize:
         np.testing.assert_allclose(out.data, [1.0, 0.0, 0.0])
 
     def test_zero_vector(self):
-        with pytest.raises(DegenerateVector):
+        with pytest.raises(ValueError, match="below floor"):
             ad.l2_normalize(ad.Tensor([0.0, 0.0]))
 
 
@@ -82,7 +82,7 @@ class TestCrossEntropy:
         assert out.item() == pytest.approx(np.log(2), abs=1e-12)
 
     def test_bad_index(self):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(IndexError, match="class index 2 for 2 classes"):
             ad.cross_entropy(ad.Tensor([0.5, 0.5]), 2)
 
 
@@ -100,7 +100,7 @@ class TestBackward:
 
     def test_not_scalar(self):
         w = ad.parameter([1.0, 2.0])
-        with pytest.raises(NotScalar):
+        with pytest.raises(ValueError, match="backward requires a scalar"):
             w.backward()
 
     def test_deterministic(self):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from seqssl import autodiff as ad
 from seqssl import backbone as bb
 from seqssl import trainer as tr
-from seqssl.errors import ScaleOutOfRange, ShapeMismatch
 from seqssl.synthgen import DatasetConfig, SynthDataset
 
 DIMS = bb.ModelDims(d_in=4, d_h=6, d_e=4, d_k=5, n_classes=3, clip_len=4,
@@ -54,7 +53,8 @@ class TestEncode:
         assert not np.allclose(fwd.tokens.data, rev.tokens.data)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError,
+                           match=r"clip frames \(3, 4\), expected"):
             bb.encode(make_params(), make_clip(np.zeros((3, 4))))
 
     def test_deterministic(self):
@@ -290,7 +290,7 @@ class TestHeads:
 
     def test_scale_out_of_range(self):
         params = make_params()
-        with pytest.raises(ScaleOutOfRange):
+        with pytest.raises(IndexError, match=r"scale 3 outside 1\.\."):
             bb.temporal_embed(params, 3, ad.Tensor(np.zeros((4, 6))))
 
 

@@ -1,3 +1,5 @@
+import ast
+import builtins
 import concurrent.futures
 import json
 import math
@@ -5,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -99,6 +102,9 @@ INVALID_OPTIONS = {
     "train-mu1-inf": ("train", "mu1", float("inf")),
     "train-mu2-inf": ("train", "mu2", float("inf")),
     "seeds-None-value61": ("seeds", None, [0, 0]),
+    "dataset-labeled_fraction-1.5": ("dataset", "labeled_fraction", 1.5),
+    "dataset-labeled_fraction-nan": ("dataset", "labeled_fraction",
+                                     float("nan")),
 }
 
 
@@ -285,6 +291,31 @@ class TestResolution:
             if any(isinstance(defaults[k], float) for k in names):
                 assert not test(math.nan), names
 
+    def test_config_error_is_the_only_exception_class(self):
+        # every other fault raises a builtin type; a class is an exception
+        # class if one of its bases names a builtin exception or, at any
+        # depth, a package class that does
+        pkg = os.path.dirname(cli.__file__)
+        classes = {}
+        for name in sorted(os.listdir(pkg)):
+            if name.endswith(".py"):
+                with open(os.path.join(pkg, name)) as f:
+                    tree = ast.parse(f.read())
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.ClassDef):
+                        classes[(name, node.name)] = {
+                            ast.unparse(b).split(".")[-1] for b in node.bases}
+        names = {n for n, v in vars(builtins).items()
+                 if isinstance(v, type) and issubclass(v, BaseException)}
+        found = set()
+        while True:
+            more = {c for c, bases in classes.items() if bases & names}
+            if more == found:
+                break
+            found = more
+            names |= {c for _, c in found}
+        assert found == {("cli.py", "ConfigError")}
+
 
 class TestScales:
     def test_four_strides_build_three_scales(self):
@@ -293,7 +324,7 @@ class TestScales:
                 "train": {**TINY["train"], "strides": [2, 4, 8, 12]}}
         cfg, ds_cfg, _ = cli.build_configs(spec)
         assert cfg.n_scales == 3
-        assert "n_scales" not in cfg.to_dict()
+        assert "n_scales" not in asdict(cfg)
         state = tr.TrainerState(cfg, SynthDataset(ds_cfg))
         heads = sorted(k for k in state.student.params if k.startswith("temp"))
         assert heads == ["temp1.W", "temp1.b", "temp2.W", "temp2.b",

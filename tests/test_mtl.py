@@ -4,7 +4,6 @@ import pytest
 from seqssl import autodiff as ad
 from seqssl import backbone as bb
 from seqssl import mtl
-from seqssl.errors import DegenerateVector, ShapeMismatch, VideoTooShort
 
 DIMS = bb.ModelDims(d_in=4, d_h=6, d_e=4, d_k=5, n_classes=3, clip_len=4,
                     n_scales=2)
@@ -46,7 +45,7 @@ class TestSampleMultiscale:
 
     def test_video_too_short(self):
         video = np.zeros((100, 4))
-        with pytest.raises(VideoTooShort):
+        with pytest.raises(ValueError, match="video length 100, need 225"):
             mtl.sample_multiscale(video, (8, 16, 32), 8,
                                   np.random.default_rng(0))
 
@@ -99,13 +98,14 @@ class TestCalibrate:
         q = np.random.default_rng(3).normal(size=(4, 6))
         z = q.copy()
         z[2] = 0.0
-        with pytest.raises(DegenerateVector):
+        with pytest.raises(ValueError, match="calibrate on near-zero row"):
             mtl.calibrate(z, q) if side == "query" else mtl.calibrate(q, z)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError,
+                           match=r"calibrate: \(4, 6\) vs \(4, 5\)"):
             mtl.calibrate(np.ones((4, 6)), np.ones((4, 5)))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match=r"calibrate: \(6,\) vs \(6,\)"):
             mtl.calibrate(np.ones(6), np.ones(6))
 
     def test_cosine_self(self):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from seqssl import synthgen as sg
-from seqssl.errors import ConfigError
 
 
 def small_cfg(**kw):
@@ -37,11 +36,12 @@ class TestMakeDataset:
         np.testing.assert_array_equal(ds1.frames(r), ds2.frames(r))
 
     def test_odd_class_count_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="n_classes must be even"):
             sg.SynthDataset(small_cfg(n_classes=7))
 
     def test_invalid_fraction(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError,
+                           match=r"labeled_fraction must be in \(0, 1\]"):
             sg.SynthDataset(small_cfg(labeled_fraction=0.0))
 
 

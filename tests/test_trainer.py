@@ -7,7 +7,6 @@ import pytest
 from seqssl import backbone as bb
 from seqssl import mtl
 from seqssl import trainer as tr
-from seqssl.errors import EmptyBatch, EmptyDataset
 from seqssl.synthgen import DatasetConfig, SynthDataset
 
 
@@ -107,7 +106,7 @@ class TestLosses:
         cfg, ds = small()
         state = tr.TrainerState(cfg, ds)
         plan = tr.StepPlan(labeled=[], unlabeled=[])
-        with pytest.raises(EmptyBatch):
+        with pytest.raises(ValueError, match="labeled batch is empty"):
             tr.compute_losses(state.student, state.teacher, plan, cfg)[1]["L_l"]
 
     def test_supervised_uniform_is_log_c(self):
@@ -200,6 +199,29 @@ class TestTrainStep:
                 if it.selection is not None:
                     assert it.selection.used_fallback == \
                         (it.selection.anchor_reliability <= tr.EPSILON)
+
+
+    def test_non_finite_loss_stops_before_the_update(self):
+        cfg, ds = small()
+        state = tr.TrainerState(cfg, ds)
+        rng = np.random.default_rng(0)
+        # one finite step first, so that the velocity and the bank hold
+        # values that an update would change
+        tr.train_step(state, ds.labeled[:2], ds.unlabeled[:3], 0, rng)
+        state.student.params["cls.b"].data[0] = np.nan
+
+        def arrays():
+            return ([p.data for p in state.student.params.values()]
+                    + [p.data for p in state.teacher.params.values()]
+                    + list(state.velocity.values())
+                    + [state.bank.embeddings, state.bank.scores,
+                       state.bank.labels])
+        before = [a.copy() for a in arrays()]
+        with pytest.raises(FloatingPointError, match="non-finite total loss"):
+            tr.train_step(state, ds.labeled[:2], ds.unlabeled[3:6], 0, rng)
+        for now, was in zip(arrays(), before, strict=True):
+            np.testing.assert_array_equal(now, was)
+        assert state.global_step == 1
 
 
 class TestAclPlan:
@@ -414,7 +436,7 @@ class TestEvaluate:
     def test_empty_dataset(self):
         cfg, ds = small()
         state = tr.TrainerState(cfg, ds)
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(ValueError, match="evaluation set is empty"):
             tr.evaluate(state.teacher, ds, [], cfg)
 
     def test_chance_level_random_classifier(self):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqssl import gmm, verify
-from seqssl.errors import ShapeMismatch
 
 
 def reference_oracle_em(points, n_restarts=50, seed=0):
@@ -132,7 +131,8 @@ class TestOracleEmMany:
             assert got == want
 
     def test_unequal_sizes_raise(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError,
+                           match="oracle sets must be 1-D and of one size"):
             verify.oracle_em_many([one_cluster(0, 10), one_cluster(1, 11)],
                                   [0, 1], n_restarts=2)
 
