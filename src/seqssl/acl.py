@@ -83,20 +83,33 @@ def select(bank: MemoryBank, pseudo_label: int, f_p: np.ndarray,
 
 
 def acl_loss(anchor, sel: AclSelection, tau: float) -> ad.Tensor:
-    """-log of the positive exponential-sum share; differentiable in the anchor.
+    """-log of the positive exponential-sum share; differentiable in the
+    anchor, one tape node.
 
     Bank entries and f^p are teacher-side constants and carry no gradient.
-    Positives and negatives may be arrays of rows or lists of vectors.
+    Positives and negatives may be arrays of rows or lists of vectors. The
+    backward replays the op-by-op tape (matmul, scale, exp and tsum per
+    set, add, log, log, sub): the anchor gets the negatives' contribution,
+    then the positives'.
     """
     if not len(sel.positives):
         raise ValueError("selection has no positive samples")
     anchor = ad.as_tensor(anchor)
-    pos = ad.Tensor(sel.positives)
-    s_pos = ad.tsum(ad.exp(ad.scale(ad.matmul(pos, anchor), 1.0 / tau)))
+    c = 1.0 / tau
+    pos = np.asarray(sel.positives, dtype=np.float64)
+    e_pos = np.exp((pos @ anchor.data) * c)
+    s_pos = e_pos.sum()
+    neg, total = None, s_pos
     if len(sel.negatives):
-        neg = ad.Tensor(sel.negatives)
-        s_neg = ad.tsum(ad.exp(ad.scale(ad.matmul(neg, anchor), 1.0 / tau)))
-        total = ad.add(s_pos, s_neg)
-    else:
-        total = s_pos
-    return ad.sub(ad.log(total), ad.log(s_pos))
+        neg = np.asarray(sel.negatives, dtype=np.float64)
+        e_neg = np.exp((neg @ anchor.data) * c)
+        total = s_pos + e_neg.sum()
+
+    def bwd(g):
+        g_total = g / total
+        if neg is not None:
+            anchor._accum(neg.T @ (g_total * e_neg * c))
+        g_pos = g_total + (-g) / s_pos
+        anchor._accum(pos.T @ (g_pos * e_pos * c))
+
+    return ad._node(np.log(total) - np.log(s_pos), (anchor,), bwd)

@@ -7,15 +7,27 @@ forward side an op whose inputs are all constants returns a bare result: it
 records no parents or backward closure on the tape, and work that only the
 backward pass needs (such as the encoder's sigmoid) is left to the closure.
 
-Two chains of ops are fused into one node each through ``_node``, because
+Six chains of ops are fused into one node each through ``_node``, because
 on the training path their cost was per-node overhead rather than
-arithmetic: ``backbone.encode`` (matmul, add, tanh, sub, softplus: the
-tokens of one clip) and ``backbone.classify`` (matmul, add, softmax_temp).
+arithmetic:
+
+- ``backbone.encode``: matmul, add, tanh, sub, softplus (the tokens of one
+  clip);
+- ``backbone.classify``: matmul, add, softmax_temp;
+- ``backbone.spatial_embed``: matmul, add, l2_normalize;
+- ``backbone.temporal_embed``: mean_rows, matmul, add;
+- ``mtl.alignment_loss``: softmax_temp of the student and of the constant
+  teacher logits, log, dot, scale by -1;
+- ``acl.acl_loss``: the InfoNCE, matmul, scale, exp and tsum for the
+  positives and for the negatives, add, log, log, sub.
+
 Their backward closures make the same ``_accum`` calls, with the same
-expressions in the same order, as the op-by-op chains did on the tape, so
-the gradients are bit-identical. The tests keep those chains, with their
-own ``tanh`` and ``softplus`` ops, as the reference that the fused nodes are
-checked against (``tests/test_backbone.py``).
+expressions in the same order, as the op-by-op chains did on the tape, and
+each node's parents are ordered so that ``backward``'s depth-first search
+meets them as it met the chain's, so the gradients are bit-identical. The
+tests keep those chains, with their own ``tanh`` and ``softplus`` ops, as
+the reference that the fused nodes are checked against
+(``tests/test_backbone.py``).
 """
 
 from __future__ import annotations
@@ -238,10 +250,7 @@ def l2_normalize(v):
     v = as_tensor(v)
     if v.data.ndim != 1:
         raise ValueError(f"l2_normalize expects 1-D, got {v.shape}")
-    n = np.linalg.norm(v.data)
-    if n < ETA_NORM:
-        raise ValueError(f"norm {n} below floor {ETA_NORM}")
-    u = v.data / n
+    u, n = _unit(v.data)
 
     def bwd(g):
         v._accum((g - u * np.dot(u, g)) / n)
@@ -249,22 +258,36 @@ def l2_normalize(v):
     return _node(u, (v,), bwd)
 
 
+def _unit(v):
+    """l2_normalize's values for a 1-D array v: v / ||v|| and ||v||, with
+    its check on the norm."""
+    n = np.linalg.norm(v)
+    if n < ETA_NORM:
+        raise ValueError(f"norm {n} below floor {ETA_NORM}")
+    return v / n, n
+
+
 def softmax_temp(logits, tau):
     """Temperature softmax over a 1-D tensor; subtract-max stabilized."""
     logits = as_tensor(logits)
-    if logits.data.ndim != 1:
-        raise ValueError(f"softmax_temp expects 1-D, got {logits.shape}")
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    z = logits.data / tau
-    z = z - z.max()
-    e = np.exp(z)
-    y = e / e.sum()
+    y = _softmax(logits.data, tau)
 
     def bwd(g):
         logits._accum(y * (g - np.dot(g, y)) / tau)
 
     return _node(y, (logits,), bwd)
+
+
+def _softmax(x, tau):
+    """softmax_temp's values for a 1-D array x, with its checks."""
+    if x.ndim != 1:
+        raise ValueError(f"softmax_temp expects 1-D, got {x.shape}")
+    if not tau > 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    z = x / tau
+    z = z - z.max()
+    e = np.exp(z)
+    return e / e.sum()
 
 
 def cross_entropy(x, target):

@@ -173,20 +173,53 @@ def classify(params: ParamSet, enc: EncodedClip) -> ad.Tensor:
 
 
 def spatial_embed(params: ParamSet, enc: EncodedClip) -> ad.Tensor:
-    """L2-normalized spatial embedding of the pooled clip feature."""
-    out = ad.add(ad.matmul(params.params["spat.W"], enc.pooled), params.params["spat.b"])
-    return ad.l2_normalize(out)
+    """L2-normalized spatial embedding of the pooled clip feature, one tape
+    node whose backward replays the op-by-op tape (matmul, add,
+    l2_normalize): b, W, pooled."""
+    w, b, pooled = params.params["spat.W"], params.params["spat.b"], enc.pooled
+    u, n = ad._unit(w.data @ pooled.data + b.data)
+
+    def bwd(g):
+        g = (g - u * np.dot(u, g)) / n
+        if b.requires_grad:
+            b._accum(g)
+        if w.requires_grad:
+            w._accum(np.outer(g, pooled.data))
+        if pooled.requires_grad:
+            pooled._accum(w.data.T @ g)
+
+    # parents in this order, so that backward's search meets b, pooled and
+    # W in the order it met them in the op-by-op chain
+    return ad._node(u, (w, pooled, b), bwd)
 
 
-def temporal_embed(params: ParamSet, scale_index: int, tokens: ad.Tensor) -> ad.Tensor:
-    """Logits of the scale-specific temporal head on mean-pooled tokens."""
+def temporal_embed(params: ParamSet, scale_index: int, tokens) -> ad.Tensor:
+    """Logits of the scale-specific temporal head on mean-pooled tokens (a
+    Tensor or an array), one tape node whose backward replays the op-by-op
+    tape (mean_rows, matmul, add): b, W, tokens."""
     if not 1 <= scale_index <= params.dims.n_scales:
         raise IndexError(
             f"scale {scale_index} outside 1..{params.dims.n_scales}")
-    pooled = ad.mean_rows(tokens)
+    tokens = ad.as_tensor(tokens)
+    if tokens.data.ndim != 2:
+        raise ValueError(f"temporal_embed expects 2-D tokens, got {tokens.shape}")
     w = params.params[f"temp{scale_index}.W"]
     b = params.params[f"temp{scale_index}.b"]
-    return ad.add(ad.matmul(w, pooled), b)
+    t = tokens.data.shape[0]
+    # mean_rows' sum and division
+    pooled = np.add.reduce(tokens.data, axis=0) / t
+
+    def bwd(g):
+        if b.requires_grad:
+            b._accum(g)
+        if w.requires_grad:
+            w._accum(np.outer(g, pooled))
+        if tokens.requires_grad:
+            # += in _accum broadcasts the row gradient over the t rows
+            tokens._accum((w.data.T @ g) / t)
+
+    # the search meets b, tokens and W in the op-by-op chain's order
+    return ad._node(w.data @ pooled + b.data, (w, tokens, b), bwd)
 
 
 def ema_update(teacher: ParamSet, student: ParamSet, m: float) -> None:

@@ -73,7 +73,8 @@ def fit_gmm_many(sets) -> list:
             raise ValueError(
                 f"sample standard deviation below {MIN_SPREAD}")
 
-    n = np.array([[x.size] for x in xs], dtype=int)          # (B, 1)
+    sizes = [x.size for x in xs]                              # Python ints
+    n = np.array(sizes, dtype=int)[:, None]                   # (B, 1)
     x = np.zeros((len(xs), n.max()))
     means = np.empty((len(xs), 2))
     variances = np.empty((len(xs), 2))
@@ -99,7 +100,7 @@ def fit_gmm_many(sets) -> list:
         done = []
         for b, r in enumerate(rows):
             trace = traces[r]
-            trace.append(log_norm[b, :n[b, 0]].sum())
+            trace.append(np.add.reduce(log_norm[b, :sizes[b]]))
             if len(trace) > 1 and abs(trace[-1] - trace[-2]) < LL_TOL:
                 fits[r] = _make_fit(means[b], variances[b], weights[b], trace)
                 done.append(b)
@@ -123,6 +124,7 @@ def fit_gmm_many(sets) -> list:
         if done:
             keep = [b for b in range(len(rows)) if b not in done]
             rows, n = [rows[b] for b in keep], n[keep]
+            sizes = [sizes[b] for b in keep]
             width = n.max()
             x, sq = x[keep, :width], sq[keep, :, :width]
             means, variances, weights = means[keep], variances[keep], weights[keep]

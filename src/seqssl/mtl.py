@@ -58,10 +58,25 @@ def calibrate(query_tokens: np.ndarray,
 def alignment_loss(student_logits, teacher_logits, tau_s: float,
                    tau_t: float) -> ad.Tensor:
     """Cross-entropy H(P^k, P^q) between the sharpened teacher distribution
-    and the student distribution."""
-    p_q = ad.softmax_temp(student_logits, tau_s)
-    p_k = ad.softmax_temp(teacher_logits, tau_t)
-    return ad.scale(ad.dot(p_k, ad.log(p_q)), -1.0)
+    and the student distribution, one tape node.
+
+    The teacher logits are a constant (an array or a Tensor without grad);
+    a Tensor that requires grad raises ValueError rather than losing its
+    gradient. The backward replays the op-by-op tape (scale by -1, dot, log,
+    softmax_temp) on the student logits.
+    """
+    if isinstance(teacher_logits, ad.Tensor) and teacher_logits.requires_grad:
+        raise ValueError("alignment_loss: the teacher logits must be a "
+                         "constant, got a Tensor that requires grad")
+    z_q = ad.as_tensor(student_logits)
+    p_q = ad._softmax(z_q.data, tau_s)
+    p_k = ad._softmax(ad.as_tensor(teacher_logits).data, tau_t)
+
+    def bwd(g):
+        g = (g * -1.0) * p_k / p_q
+        z_q._accum(p_q * (g - np.dot(g, p_q)) / tau_s)
+
+    return ad._node(np.dot(p_k, np.log(p_q)) * -1.0, (z_q,), bwd)
 
 
 def teacher_scale_logits(teacher: ParamSet, weak: List[Clip]):

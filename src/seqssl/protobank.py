@@ -20,6 +20,12 @@ class PrototypeTable:
         self.prototypes = np.zeros((n_classes, dim))
         self.initialized = np.zeros(n_classes, dtype=bool)
 
+    def copy(self) -> "PrototypeTable":
+        out = PrototypeTable(*self.prototypes.shape)
+        out.prototypes[:] = self.prototypes
+        out.initialized[:] = self.initialized
+        return out
+
     def update(self, class_id: int, f_l: np.ndarray, beta: float) -> None:
         if not 0 <= class_id < self.prototypes.shape[0]:
             raise IndexError(f"class {class_id}")

@@ -3,10 +3,12 @@ step schedule, EMA teacher updates and the memory-bank lifecycle.
 
 A step is split into two phases. ``prepare_step_plan`` performs every
 teacher-side and bookkeeping decision (augmentation draws, pseudo-labels,
-gates, reliability scores, positive/negative selection, prototype updates)
-and freezes the results into a plan. ``compute_losses`` is then a pure,
-smooth function of the student parameters given that plan, which is what
-makes finite-difference gradient verification of every loss exact.
+gates, reliability scores, positive/negative selection, prototype and centre
+updates) and freezes the results into a plan. ``compute_losses`` is then a
+pure, smooth function of the student parameters given that plan, which is
+what makes finite-difference gradient verification of every loss exact. The
+plan holds the updated prototypes and centres; ``train_step`` commits them to
+the state only once the loss has proved finite.
 
 A switched-off mechanism does no work in a step. With ``use_acl`` off the
 prototypes, the bank, the teacher's ``f_p``/``f_score`` encode and the
@@ -123,9 +125,13 @@ class UnlabeledItem:
 class StepPlan:
     labeled: List[LabeledItem]
     unlabeled: List[UnlabeledItem]
-    # snapshot of the per-scale teacher-logit centers that compute_losses
-    # subtracts to make this step's MTL targets (constants w.r.t. the student)
+    # the per-scale teacher-logit centers that compute_losses subtracts to
+    # make this step's MTL targets (constants w.r.t. the student)
     mtl_centers: Optional[List[np.ndarray]] = None
+    # the state's next prototypes and centers, which absorb this step's
+    # batch; train_step commits them (None with ACL or MTL off)
+    protos: Optional[PrototypeTable] = None
+    new_mtl_centers: Optional[List[np.ndarray]] = None
 
 
 class TrainerState:
@@ -184,11 +190,12 @@ def lr_schedule(epoch: int) -> float:
 def prepare_step_plan(state: TrainerState, labeled_recs, unlabeled_recs,
                       rng: np.random.Generator) -> StepPlan:
     """Teacher-side pass: draws augmentations and fixes pseudo-labels and
-    gates. With ACL on it also updates the prototypes from the labeled
-    embeddings, encodes each weak short clip for ``f_p``/``f_score``, and
-    fixes reliability scores and contrastive selections; with ACL off none of
-    that runs. Encodes draw no rng, so the rng draws are the same either
-    way."""
+    gates. With ACL on it also updates a copy of the prototypes from the
+    labeled embeddings, encodes each weak short clip for ``f_p``/``f_score``,
+    and fixes reliability scores and contrastive selections; with ACL off
+    none of that runs. With MTL on it computes the next centers. The state
+    is left as it was. Encodes draw no rng, so the rng draws are the same
+    either way."""
     cfg, ds = state.cfg, state.ds
 
     labeled_items = []
@@ -216,16 +223,18 @@ def prepare_step_plan(state: TrainerState, labeled_recs, unlabeled_recs,
             weak=weak, strong_short=strong_short, pseudo_label=y_hat,
             gate=fused_max > cfg.delta, true_label=rec.class_id))
 
+    protos = None
     if cfg.use_acl:
         # prototype updates from the current student's labeled embeddings;
         # every view counts, so prototypes stabilize within the first epochs
         # and reliability scoring engages early. The student is fixed while a
         # plan is built, so where in the plan they are updated does not
         # matter.
+        protos = state.protos.copy()
         for item in labeled_items:
             for clip in item.clips:
                 pooled = bb.encode(state.student, clip).pooled.data
-                state.protos.update(item.label, _unit(pooled), BETA)
+                protos.update(item.label, _unit(pooled), BETA)
         for it in unlabeled_items:
             enc_p = bb.encode(state.teacher, it.weak[0])
             it.f_p = bb.spatial_embed(state.teacher, enc_p).data
@@ -236,30 +245,32 @@ def prepare_step_plan(state: TrainerState, labeled_recs, unlabeled_recs,
         # back where the pseudo-class has no prototype (scores None)
         scores = acl_mod.score_candidates([
             (acl_mod.build_candidates(state.bank, it.pseudo_label, it.f_score),
-             state.protos.get(it.pseudo_label))
+             protos.get(it.pseudo_label))
             for it in unlabeled_items])
         for it, it_scores in zip(unlabeled_items, scores):
             it.selection = acl_mod.select(state.bank, it.pseudo_label, it.f_p,
                                           it_scores, EPSILON)
             it.gamma = it.selection.anchor_reliability
 
-    # the plan uses the centers as they stood before this step; then the
-    # running centers absorb this batch's teacher logits. Each center is
-    # rebound, never written in place, so a copy of the list is a snapshot.
-    centers_snapshot = None
+    # the plan uses the centers as they stood before this step; the next
+    # centers absorb this batch's teacher logits into a new list, so the
+    # state's list is never written and the plan can hold it as it is
+    centers = new_centers = None
     if cfg.use_mtl:
-        centers_snapshot = list(state.mtl_centers)
+        centers = state.mtl_centers
+        new_centers = list(centers)
         # the centers track the very logits the MTL targets centre: the
         # teacher head on the *calibrated* long tokens
         per_item = [teacher_scale_logits(state.teacher, item.weak)
                     for item in unlabeled_items]
         for n, batch in enumerate(zip(*per_item)):
-            state.mtl_centers[n] = (
-                CENTER_MOMENTUM * state.mtl_centers[n]
+            new_centers[n] = (
+                CENTER_MOMENTUM * centers[n]
                 + (1.0 - CENTER_MOMENTUM) * np.mean(batch, axis=0))
 
     return StepPlan(labeled=labeled_items, unlabeled=unlabeled_items,
-                    mtl_centers=centers_snapshot)
+                    mtl_centers=centers, protos=protos,
+                    new_mtl_centers=new_centers)
 
 
 def compute_losses(student: bb.ParamSet, teacher: bb.ParamSet, plan: StepPlan,
@@ -329,9 +340,13 @@ def train_step(state: TrainerState, labeled_recs, unlabeled_recs, epoch: int,
     sgd_step(state.student, state.velocity, lr_schedule(epoch), WEIGHT_DECAY)
     bb.ema_update(state.teacher, state.student, EMA_MOMENTUM)
 
+    # the step's bookkeeping is committed only after a finite loss
     if cfg.use_acl:
+        state.protos = plan.protos
         for item in plan.unlabeled:
             state.bank.push(item.f_p, item.f_score, item.pseudo_label)
+    if cfg.use_mtl:
+        state.mtl_centers = plan.new_mtl_centers
 
     accepted = [it for it in plan.unlabeled if it.gate]
     n_correct = sum(1 for it in accepted if it.pseudo_label == it.true_label)

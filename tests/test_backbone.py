@@ -6,13 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqssl import acl
 from seqssl import autodiff as ad
 from seqssl import backbone as bb
+from seqssl import mtl
 from seqssl import trainer as tr
 from seqssl.synthgen import DatasetConfig, SynthDataset
 
 DIMS = bb.ModelDims(d_in=4, d_h=6, d_e=4, d_k=5, n_classes=3, clip_len=4,
                     n_scales=2)
+# a clip length that is not a power of two, so that where a division by it
+# sits shows in the rounding, and three temporal heads on one token tensor
+ODD_DIMS = bb.ModelDims(d_in=3, d_h=7, d_e=5, d_k=6, n_classes=3, clip_len=5,
+                        n_scales=3)
 
 
 def make_params(seed=0, trainable=True):
@@ -146,6 +152,53 @@ def reference_tape_classify(params, enc):
         ad.add(ad.matmul(p["cls.W"], enc.pooled), p["cls.b"]), 1.0)
 
 
+def reference_tape_spatial_embed(params, enc):
+    """spatial_embed as the op-by-op tape built it: matmul, add,
+    l2_normalize."""
+    p = params.params
+    return ad.l2_normalize(
+        ad.add(ad.matmul(p["spat.W"], enc.pooled), p["spat.b"]))
+
+
+def reference_tape_temporal_embed(params, scale_index, tokens):
+    """temporal_embed as the op-by-op tape built it: mean_rows, matmul,
+    add."""
+    p = params.params
+    return ad.add(ad.matmul(p[f"temp{scale_index}.W"], ad.mean_rows(tokens)),
+                  p[f"temp{scale_index}.b"])
+
+
+def reference_tape_alignment_loss(student_logits, teacher_logits, tau_s,
+                                  tau_t):
+    """mtl.alignment_loss as the op-by-op tape built it: two softmax_temp,
+    log, dot, scale by -1."""
+    p_q = ad.softmax_temp(student_logits, tau_s)
+    p_k = ad.softmax_temp(teacher_logits, tau_t)
+    return ad.scale(ad.dot(p_k, ad.log(p_q)), -1.0)
+
+
+def reference_tape_acl_loss(anchor, sel, tau):
+    """acl.acl_loss as the op-by-op tape built it: matmul, scale, exp and
+    tsum per set, add, log, log, sub."""
+    anchor = ad.as_tensor(anchor)
+    pos = ad.Tensor(sel.positives)
+    s_pos = ad.tsum(ad.exp(ad.scale(ad.matmul(pos, anchor), 1.0 / tau)))
+    if len(sel.negatives):
+        neg = ad.Tensor(sel.negatives)
+        s_neg = ad.tsum(ad.exp(ad.scale(ad.matmul(neg, anchor), 1.0 / tau)))
+        total = ad.add(s_pos, s_neg)
+    else:
+        total = s_pos
+    return ad.sub(ad.log(total), ad.log(s_pos))
+
+
+# the fused loss-side heads and their op-by-op references, in one order
+FUSED_HEADS = (bb.spatial_embed, bb.temporal_embed, mtl.alignment_loss,
+               acl.acl_loss)
+REFERENCE_HEADS = (reference_tape_spatial_embed, reference_tape_temporal_embed,
+                   reference_tape_alignment_loss, reference_tape_acl_loss)
+
+
 def tape_nodes(out):
     """Number of nodes with a backward closure that backward() from out
     would run."""
@@ -229,9 +282,38 @@ class TestEncodeBitIdentity:
         probs = bb.classify(s, enc)
         assert set(probs._parents) <= leaves | {enc.pooled}
         assert tape_nodes(probs) == 3
+        # the loss-side heads: a student call adds one node to the tape
+        rng = np.random.default_rng(1)
+        target = rng.normal(size=DIMS.d_k)
+        sel = acl.AclSelection(positives=rng.normal(size=(2, DIMS.d_e)),
+                               negatives=rng.normal(size=(3, DIMS.d_e)),
+                               anchor_reliability=1.0, used_fallback=False)
+        no_neg = acl.AclSelection(positives=sel.positives,
+                                  negatives=sel.negatives[:0],
+                                  anchor_reliability=1.0, used_fallback=False)
+        anchor = bb.spatial_embed(s, enc)
+        assert set(anchor._parents) <= leaves | {enc.pooled}
+        assert tape_nodes(anchor) == tape_nodes(enc.pooled) + 1
+        logits = bb.temporal_embed(s, 1, enc.tokens)
+        assert set(logits._parents) <= leaves | {enc.tokens}
+        assert tape_nodes(logits) == tape_nodes(enc.tokens) + 1
+        align = mtl.alignment_loss(logits, target, 0.1, 0.04)
+        assert align._parents == (logits,)
+        assert tape_nodes(align) == tape_nodes(logits) + 1
+        for selection in (sel, no_neg):
+            loss = acl.acl_loss(anchor, selection, 0.07)
+            assert loss._parents == (anchor,)
+            assert tape_nodes(loss) == tape_nodes(anchor) + 1
+        # and a teacher call records none
         t = s.copy_as_teacher()
         enc_t = bb.encode(t, clip)
-        for node in (enc_t.tokens, enc_t.pooled, bb.classify(t, enc_t)):
+        anchor_t = bb.spatial_embed(t, enc_t)
+        logits_t = bb.temporal_embed(t, 1, enc_t.tokens)
+        for node in (enc_t.tokens, enc_t.pooled, bb.classify(t, enc_t),
+                     anchor_t, logits_t,
+                     mtl.alignment_loss(logits_t, target, 0.1, 0.04),
+                     acl.acl_loss(anchor_t, sel, 0.07),
+                     acl.acl_loss(anchor_t, no_neg, 0.07)):
             assert node._parents == ()
             assert node._backward_fn is None
             assert not node.requires_grad
@@ -248,6 +330,109 @@ class TestEncodeBitIdentity:
                 assert isinstance(const, np.ndarray)
                 assert not const.flags.writeable
                 assert np.array_equal(const, want)
+
+
+class TestLossHeadsBitIdentity:
+    """The four fused loss-side heads against their op-by-op chains: the same
+    values and, through a loss that reads every one of them, the same
+    gradient for every parameter, bit for bit."""
+
+    @pytest.mark.parametrize("n_neg", [0, 1, 23], ids=["no-neg", "1-neg",
+                                                       "23-neg"])
+    @pytest.mark.parametrize("make_dims",
+                             [lambda: DIMS, lambda: ODD_DIMS, default_dims],
+                             ids=["small", "odd", "default"])
+    def test_values_and_gradients_match_reference_tape(self, make_dims,
+                                                       n_neg):
+        # three clips share the parameters; each clip's tokens are read by
+        # every temporal head, its pooled feature by the classifier and the
+        # spatial head, and its anchor gets gradient from the positives and,
+        # unless there are none, from the negatives
+        dims = make_dims()
+        rng = np.random.default_rng(12 + n_neg)
+
+        def unit_rows(k):
+            rows = rng.normal(size=(k, dims.d_e))
+            return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+        clips = [rng.normal(size=(dims.clip_len, dims.d_in)) for _ in range(3)]
+        targets = [[rng.normal(size=dims.d_k) for _ in range(dims.n_scales)]
+                   for _ in clips]
+        reads = [rng.normal(size=dims.d_e) for _ in clips]
+        sels = [acl.AclSelection(positives=unit_rows(1 + i),
+                                 negatives=unit_rows(n_neg),
+                                 anchor_reliability=1.0, used_fallback=False)
+                for i in range(len(clips))]
+
+        def run(heads):
+            spatial, temporal, align, contrast = heads
+            s = bb.ParamSet.init(dims, np.random.default_rng(3), True)
+            terms = []
+            for i, frames in enumerate(clips):
+                enc = bb.encode(s, make_clip(frames))
+                anchor = spatial(s, enc)
+                # a third reader of the anchor, so that the order of the
+                # InfoNCE's two contributions shows in its rounding
+                terms += [anchor, ad.dot(anchor, ad.Tensor(reads[i])),
+                          contrast(anchor, sels[i], tr.TAU),
+                          ad.cross_entropy(bb.classify(s, enc),
+                                           i % dims.n_classes)]
+                for n, target in enumerate(targets[i], start=1):
+                    logits = temporal(s, n, enc.tokens)
+                    terms += [logits, align(logits, target, tr.TAU_S,
+                                            tr.TAU_T)]
+            loss = terms[1]
+            for t in terms[2:]:
+                if t.data.shape == ():
+                    loss = ad.add(loss, t)
+            loss.backward()
+            return ([t.data for t in terms],
+                    {k: v.grad for k, v in s.params.items()})
+
+        got_values, got = run(FUSED_HEADS)
+        want_values, want = run(REFERENCE_HEADS)
+        for a, b in zip(got_values, want_values, strict=True):
+            assert np.array_equal(a, b)
+        for k in want:
+            assert want[k] is not None, k
+            assert np.array_equal(got[k], want[k]), k
+
+    def test_compute_losses_gradients_match_reference_tape(self, monkeypatch):
+        # a real plan after warm-up steps, so that the bank, the prototypes,
+        # the gates and the MTL centres are all live
+        cfg = tr.TrainConfig(seed=0, clip_len=4, strides=(2, 4, 8), d_h=6,
+                             d_e=4, d_k=5, bank_capacity=32, epochs=1,
+                             delta=0.0, b_l=2, b_u=3)
+        ds = SynthDataset(DatasetConfig(n_classes=4, per_class=6,
+                                        labeled_fraction=0.34, d_in=4,
+                                        video_len=40, noise=0.05, seed=0))
+        state = tr.TrainerState(cfg, ds)
+        rng = np.random.default_rng(0)
+        for s in range(3):
+            tr.train_step(state, ds.labeled[:2], ds.unlabeled[3*s:3*s+3], 0,
+                          rng)
+        plan = tr.prepare_step_plan(state, ds.labeled[:2], ds.unlabeled[:3],
+                                    rng)
+        assert any(len(it.selection.negatives) for it in plan.unlabeled)
+
+        def run():
+            state.student.zero_grad()
+            total, parts = tr.compute_losses(state.student, state.teacher,
+                                             plan, cfg)
+            total.backward()
+            return ([v.item() for v in parts.values()],
+                    {k: p.grad for k, p in state.student.params.items()})
+
+        got_values, got = run()
+        spatial, temporal, align, contrast = REFERENCE_HEADS
+        monkeypatch.setattr(bb, "spatial_embed", spatial)
+        monkeypatch.setattr(mtl, "temporal_embed", temporal)
+        monkeypatch.setattr(mtl, "alignment_loss", align)
+        monkeypatch.setattr(acl, "acl_loss", contrast)
+        want_values, want = run()
+        assert got_values == want_values
+        for k in want:
+            assert np.array_equal(got[k], want[k]), k
 
 
 class TestHeads:

@@ -167,6 +167,16 @@ class TestAlignmentLoss:
             entropy = -np.sum(p * np.log(np.maximum(p, 1e-300)))
             assert loss.item() - entropy >= -1e-12
 
+    def test_teacher_logits_that_require_grad_raise(self):
+        # the teacher side is a constant of the loss: a gradient for it
+        # would be silently dropped, so the loss refuses it
+        zq, zk = np.zeros(4), np.ones(4)
+        with pytest.raises(ValueError, match="teacher logits must be a "
+                                             "constant"):
+            mtl.alignment_loss(ad.parameter(zq), ad.parameter(zk), 0.1, 0.04)
+        loss = mtl.alignment_loss(ad.parameter(zq), ad.Tensor(zk), 0.1, 0.04)
+        assert loss.requires_grad
+
     def test_lower_tau_t_sharpens(self):
         rng = np.random.default_rng(3)
         zk = rng.normal(size=5)

@@ -205,8 +205,10 @@ class TestTrainStep:
         cfg, ds = small()
         state = tr.TrainerState(cfg, ds)
         rng = np.random.default_rng(0)
-        # one finite step first, so that the velocity and the bank hold
-        # values that an update would change
+        # one finite step first, so that the velocity, the bank, the
+        # prototypes and the centres hold values that an update would change;
+        # the failing step's labeled videos are of another class, so it would
+        # also initialise a second prototype
         tr.train_step(state, ds.labeled[:2], ds.unlabeled[:3], 0, rng)
         state.student.params["cls.b"].data[0] = np.nan
 
@@ -215,10 +217,12 @@ class TestTrainStep:
                     + [p.data for p in state.teacher.params.values()]
                     + list(state.velocity.values())
                     + [state.bank.embeddings, state.bank.scores,
-                       state.bank.labels])
+                       state.bank.labels]
+                    + [state.protos.prototypes, state.protos.initialized]
+                    + state.mtl_centers)
         before = [a.copy() for a in arrays()]
         with pytest.raises(FloatingPointError, match="non-finite total loss"):
-            tr.train_step(state, ds.labeled[:2], ds.unlabeled[3:6], 0, rng)
+            tr.train_step(state, ds.labeled[2:4], ds.unlabeled[3:6], 0, rng)
         for now, was in zip(arrays(), before, strict=True):
             np.testing.assert_array_equal(now, was)
         assert state.global_step == 1
@@ -251,7 +255,7 @@ class TestAclPlan:
         monkeypatch.setattr(tr.acl_mod, "select", recording_select)
         # both labeled videos are of class 0: the only class with a prototype
         plan = tr.prepare_step_plan(state, ds.labeled[:2], ds.unlabeled, rng)
-        assert state.protos.initialized.tolist() == [True, False, False, False]
+        assert plan.protos.initialized.tolist() == [True, False, False, False]
         missing = [it for it in plan.unlabeled if it.pseudo_label != 0]
         assert missing and len(state.bank) > 0
         for it in plan.unlabeled:
@@ -386,9 +390,10 @@ class TestMtlCenters:
                     state.teacher, n, calib.calibrated_tokens).data)
             want = (tr.CENTER_MOMENTUM * old[n - 1]
                     + (1 - tr.CENTER_MOMENTUM) * np.mean(logits, axis=0))
-            np.testing.assert_allclose(state.mtl_centers[n - 1], want,
+            np.testing.assert_allclose(plan.new_mtl_centers[n - 1], want,
                                        rtol=0.0, atol=1e-12)
             np.testing.assert_array_equal(plan.mtl_centers[n - 1], old[n - 1])
+            np.testing.assert_array_equal(state.mtl_centers[n - 1], old[n - 1])
 
     def test_loss_aligns_to_teacher_logits_minus_plan_centers(self):
         # the trainer, not the loss, centres the MTL targets: L_MTL must be
