@@ -25,9 +25,10 @@ Their backward closures make the same ``_accum`` calls, with the same
 expressions in the same order, as the op-by-op chains did on the tape, and
 each node's parents are ordered so that ``backward``'s depth-first search
 meets them as it met the chain's, so the gradients are bit-identical. The
-tests keep those chains, with their own ``tanh`` and ``softplus`` ops, as
-the reference that the fused nodes are checked against
-(``tests/test_backbone.py``).
+tests keep those chains as the reference that the fused nodes are checked
+against (``tests/test_backbone.py``), together with the ops that only the
+chains use: ``tanh``, ``softplus``, ``sub``, ``dot``, ``tsum`` and
+``l2_normalize``.
 """
 
 from __future__ import annotations
@@ -139,20 +140,6 @@ def add(a, b):
     return _node(a.data + b.data, (a, b), bwd)
 
 
-def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"sub: {a.shape} vs {b.shape}")
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(g)
-        if b.requires_grad:
-            b._accum(-g)
-
-    return _node(a.data - b.data, (a, b), bwd)
-
-
 def scale(a, c):
     a = as_tensor(a)
     c = float(c)
@@ -188,20 +175,6 @@ def matmul(a, b):
     return _node(a.data @ b.data, (a, b), bwd)
 
 
-def dot(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 1 or a.data.shape != b.data.shape:
-        raise ValueError(f"dot: {a.shape} vs {b.shape}")
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(g * b.data)
-        if b.requires_grad:
-            b._accum(g * a.data)
-
-    return _node(np.dot(a.data, b.data), (a, b), bwd)
-
-
 def exp(a):
     a = as_tensor(a)
     y = np.exp(a.data)
@@ -221,15 +194,6 @@ def log(a):
     return _node(np.log(a.data), (a,), bwd)
 
 
-def tsum(a):
-    a = as_tensor(a)
-
-    def bwd(g):
-        a._accum(np.full_like(a.data, float(g)))
-
-    return _node(a.data.sum(), (a,), bwd)
-
-
 def mean_rows(a):
     """Mean over axis 0 of a 2-D tensor (temporal pooling)."""
     a = as_tensor(a)
@@ -245,22 +209,9 @@ def mean_rows(a):
     return _node(np.add.reduce(a.data, axis=0) / t, (a,), bwd)
 
 
-def l2_normalize(v):
-    """Normalize a vector to unit length; full Jacobian (I - uu^T)/||v||."""
-    v = as_tensor(v)
-    if v.data.ndim != 1:
-        raise ValueError(f"l2_normalize expects 1-D, got {v.shape}")
-    u, n = _unit(v.data)
-
-    def bwd(g):
-        v._accum((g - u * np.dot(u, g)) / n)
-
-    return _node(u, (v,), bwd)
-
-
 def _unit(v):
-    """l2_normalize's values for a 1-D array v: v / ||v|| and ||v||, with
-    its check on the norm."""
+    """A 1-D array v's unit vector v / ||v|| and its norm ||v||; a norm
+    below ETA_NORM raises."""
     n = np.linalg.norm(v)
     if n < ETA_NORM:
         raise ValueError(f"norm {n} below floor {ETA_NORM}")

@@ -145,10 +145,13 @@ def build_configs(spec: dict):
         train_kw["strides"] = tuple(train_kw["strides"])
     cfg = TrainConfig(**{**train_kw, "seed": seeds[0]})
     ds_cfg = DatasetConfig(**{"seed": seeds[0], **dataset_kw})
-    # a short-term plus at least one long-term stride, a video long enough
-    # for the longest-stride clip, and unlabeled videos in every class
+    # a short-term plus at least one longer long-term stride, a video long
+    # enough for the longest-stride clip, and unlabeled videos in every class
     if len(cfg.strides) < 2:
         raise ConfigError(f"train option strides needs at least 2 entries, "
+                          f"got {list(cfg.strides)}")
+    if any(a >= b for a, b in zip(cfg.strides, cfg.strides[1:])):
+        raise ConfigError(f"train option strides must increase strictly, "
                           f"got {list(cfg.strides)}")
     need = clip_span(cfg.clip_len, max(cfg.strides))
     if ds_cfg.video_len < need:

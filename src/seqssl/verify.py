@@ -9,12 +9,12 @@ The gradient checks perturb each student parameter entry once per seed and
 read all five losses from that one pair of forward passes. The EM oracle
 runs the 50 restarts of several sets as one (S*R, 2, n) batch,
 components-major, with each restart's own set's points contiguous on the
-last axis. Its sums over points are sequential (cumsum) and each restart's
-log-likelihood is a pairwise sum over its row, so every restart follows the
-same arithmetic as it would alone and the oracle's result does not depend on
-the batching. The mixture check batches its 20 sets 4 at a time: larger
-batches are faster still, but their arrays raise the peak memory of
-`seqssl verify` (ORACLE_BATCH_SETS).
+last axis. Every sum over points, and each restart's log-likelihood, is
+numpy's pairwise sum over one row, so every restart follows the same
+arithmetic as it would alone and the oracle's result does not depend on the
+batching. The mixture check batches its 20 sets 4 at a time: larger batches
+are faster still, but their arrays raise the peak memory of `seqssl verify`
+(ORACLE_BATCH_SETS).
 """
 
 from __future__ import annotations
@@ -97,13 +97,13 @@ def oracle_em_many(sets, seeds, n_restarts: int = 50) -> List[float]:
 
     Each restart follows the arithmetic of an (n, 2) loop run alone, so the
     result does not depend on the batching: the sums over points (nk,
-    sum r*x and sum r*(x - mu)**2) are sequential (cumsum), each restart's
-    log-likelihood is numpy's pairwise sum over its row, and the max and sum
+    sum r*x and sum r*(x - mu)**2) and each restart's log-likelihood are
+    numpy's pairwise sums over the row's own points, and the max and sum
     over the two components are np.maximum(lp0, lp1) and e0 + e1. The
     in-place steps (np.square, /=, +=, *=) give the same bits as the plain
-    expressions. A batch holds three (S*R, 2, n) buffers and a few
-    (S*R, n) ones, so its memory grows with S; ORACLE_BATCH_SETS says how
-    many sets `seqssl verify` puts in one batch, and why.
+    expressions. A batch holds two (S*R, 2, n) buffers and a few (S*R, n)
+    ones, so its memory grows with S; ORACLE_BATCH_SETS says how many sets
+    `seqssl verify` puts in one batch, and why.
     """
     sets = [np.asarray(pts, dtype=np.float64) for pts in sets]
     if len({pts.shape for pts in sets}) != 1 or sets[0].ndim != 1:
@@ -126,7 +126,7 @@ def oracle_em_many(sets, seeds, n_restarts: int = 50) -> List[float]:
     rows = np.arange(batch)          # the restart each batch row runs
     # every per-point array is a slice of one of these, over the rows still
     # running, so the iterations allocate no array of the batch's size
-    log_p_buf, r_buf, sums_buf = (np.empty((batch, 2, n)) for _ in range(3))
+    log_p_buf, r_buf = np.empty((batch, 2, n)), np.empty((batch, 2, n))
     m_buf, norm_buf = np.empty((batch, n)), np.empty((batch, n))
     for _ in range(500):
         k = rows.size
@@ -152,22 +152,22 @@ def oracle_em_many(sets, seeds, n_restarts: int = 50) -> List[float]:
         k = rows.size
         if not k:
             break
-        # drop the finished rows; compress copies its input when out overlaps
-        x = np.compress(go, x, axis=0, out=x[:k])
-        r = np.compress(go, log_p, axis=0, out=r_buf[:k])
-        norm = np.compress(go, norm, axis=0, out=m_buf[:k])
-        r -= norm[:, None]
+        if k < go.size:
+            # drop the finished rows; compress copies its input when out
+            # overlaps
+            x = np.compress(go, x, axis=0, out=x[:k])
+            log_p = np.compress(go, log_p, axis=0, out=r_buf[:k])
+            norm = np.compress(go, norm, axis=0, out=m_buf[:k])
+        r = np.subtract(log_p, norm[:, None], out=r_buf[:k])
         np.exp(r, out=r)
-        # each sum over points is the last column of a sequential cumsum
-        sums = sums_buf[:k]
-        nk = np.cumsum(r, axis=-1, out=sums)[..., -1].copy()
+        # each sum over points is numpy's pairwise sum over one row
+        nk = np.add.reduce(r, axis=-1)
         rx = np.multiply(r, x, out=log_p_buf[:k])
-        mu = np.cumsum(rx, axis=-1, out=sums)[..., -1] / nk
+        mu = np.add.reduce(rx, axis=-1) / nk
         sq = np.subtract(x, mu[..., None], out=log_p_buf[:k])
         np.square(sq, out=sq)
         sq *= r
-        var = np.maximum(np.cumsum(sq, axis=-1, out=sums)[..., -1] / nk,
-                         1e-6)
+        var = np.maximum(np.add.reduce(sq, axis=-1) / nk, 1e-6)
         w = nk / n
     final[rows] = prev
     bests = []
@@ -192,9 +192,9 @@ def oracle_dataset(i: int, n_datasets: int = 20) -> np.ndarray:
 
 # Sets per oracle batch, bounded by peak RSS. More sets per batch run
 # faster, but the batch's buffers grow with it. With 4 sets (200 rows of 100
-# points) the oracle stays under the peak the gradient checks set, about
-# 40 MB for `seqssl verify`; 10 sets raised that peak by 2 MB and all 20 sets
-# by 6 MB, for at most 5% less time.
+# points) `seqssl verify` peaks at about 39 MB; 10 sets raised that peak by
+# 2 MB and all 20 sets by 6 MB, for about 10% less oracle time (0.43 s ->
+# 0.39 s on 2 Xeon cores).
 ORACLE_BATCH_SETS = 4
 
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqssl import autodiff as ad
-from test_backbone import REFERENCE_OPS, softplus, tanh
+from test_backbone import (REFERENCE_OPS, dot, l2_normalize, softplus, sub,
+                           tanh, tsum)
 
 
 class TestMatmul:
@@ -33,16 +34,16 @@ class TestMatmul:
 
 class TestL2Normalize:
     def test_three_four(self):
-        out = ad.l2_normalize(ad.Tensor([3.0, 4.0]))
+        out = l2_normalize(ad.Tensor([3.0, 4.0]))
         np.testing.assert_allclose(out.data, [0.6, 0.8], atol=1e-15)
 
     def test_already_unit(self):
-        out = ad.l2_normalize(ad.Tensor([1.0, 0.0, 0.0]))
+        out = l2_normalize(ad.Tensor([1.0, 0.0, 0.0]))
         np.testing.assert_allclose(out.data, [1.0, 0.0, 0.0])
 
     def test_zero_vector(self):
         with pytest.raises(ValueError, match="below floor"):
-            ad.l2_normalize(ad.Tensor([0.0, 0.0]))
+            l2_normalize(ad.Tensor([0.0, 0.0]))
 
 
 class TestSoftmaxTemp:
@@ -89,12 +90,12 @@ class TestCrossEntropy:
 class TestBackward:
     def test_sum_grad(self):
         w = ad.parameter([1.0, 2.0, 3.0])
-        ad.tsum(w).backward()
+        tsum(w).backward()
         np.testing.assert_array_equal(w.grad, [1.0, 1.0, 1.0])
 
     def test_quadratic_grad(self):
         w = ad.parameter([1.0, -2.0, 0.5])
-        loss = ad.scale(ad.dot(w, w), 0.5)
+        loss = ad.scale(dot(w, w), 0.5)
         loss.backward()
         np.testing.assert_allclose(w.grad, w.data)
 
@@ -109,7 +110,7 @@ class TestBackward:
 
         def run():
             w = ad.parameter(a)
-            loss = ad.tsum(tanh(ad.matmul(w, ad.Tensor(rng.standard_normal(4)))))
+            loss = tsum(tanh(ad.matmul(w, ad.Tensor(rng.standard_normal(4)))))
             return loss
 
         rng = np.random.default_rng(0)
@@ -121,26 +122,26 @@ class TestBackward:
     def test_teacher_constant_has_no_grad(self):
         const = ad.Tensor(np.ones(3))
         w = ad.parameter(np.ones(3))
-        ad.dot(const, w).backward()
+        dot(const, w).backward()
         assert const.grad is None
 
 
 class TestGradcheck:
     def test_dot_self(self):
-        err = ad.gradcheck(lambda w: ad.dot(w, w), ad.Tensor([1.0, -2.0, 3.0]))
+        err = ad.gradcheck(lambda w: dot(w, w), ad.Tensor([1.0, -2.0, 3.0]))
         assert err < 1e-6
 
     def test_softmax_dot_composite(self):
         c = np.array([0.2, -1.0, 0.7])
 
         def f(w):
-            return ad.dot(ad.softmax_temp(w, 0.3), ad.Tensor(c))
+            return dot(ad.softmax_temp(w, 0.3), ad.Tensor(c))
 
         err = ad.gradcheck(f, ad.Tensor([0.1, 0.5, -0.4]))
         assert err < 1e-4
 
     def test_constant(self):
-        err = ad.gradcheck(lambda w: ad.scale(ad.tsum(w), 0.0), ad.Tensor([1.0, 2.0]))
+        err = ad.gradcheck(lambda w: ad.scale(tsum(w), 0.0), ad.Tensor([1.0, 2.0]))
         assert err == 0.0
 
     def test_every_op_at_random_points(self):
@@ -151,11 +152,11 @@ class TestGradcheck:
         def f(w):
             m = tanh(ad.add(ad.matmul(ad.Tensor(rng0), w), ad.Tensor(bias)))
             pooled = ad.mean_rows(m)
-            u = ad.l2_normalize(pooled)
-            c = ad.dot(u, tgt)
+            u = l2_normalize(pooled)
+            c = dot(u, tgt)
             p = ad.softmax_temp(pooled, 0.5)
             ce = ad.cross_entropy(p, 1)
-            return ad.add(ad.add(c, ce), ad.log(ad.exp(ad.tsum(m))))
+            return ad.add(ad.add(c, ce), ad.log(ad.exp(tsum(m))))
 
         for trial in range(10):
             rng = np.random.default_rng(100 + trial)
@@ -173,8 +174,8 @@ def two_tensor_loss(w, b, act=tanh):
     h = act(ad.add(ad.matmul(ad.Tensor(X_CONST), w), b))
     pooled = ad.mean_rows(h)
     ce = ad.cross_entropy(ad.softmax_temp(pooled, 0.5), 0)
-    spread = ad.log(ad.tsum(ad.exp(ad.scale(pooled, 0.5))))
-    return ad.add(ad.sub(ce, spread), softplus(ad.dot(b, b)))
+    spread = ad.log(tsum(ad.exp(ad.scale(pooled, 0.5))))
+    return ad.add(sub(ce, spread), softplus(dot(b, b)))
 
 
 def tanh_doubled_backward(a):
@@ -290,16 +291,12 @@ def _mat(r=4, c=3, seed=1):
 OPS = [
     ("add", ad.add, (_vec(), _vec(seed=2))),
     ("add-bias", ad.add, (_mat(), _vec())),
-    ("sub", ad.sub, (_vec(), _vec(seed=2))),
     ("scale", lambda a: ad.scale(a, 0.5), (_vec(),)),
     ("matmul-2d", ad.matmul, (_mat(), _mat(3, 2))),
     ("matmul-1d", ad.matmul, (_mat(), _vec())),
-    ("dot", ad.dot, (_vec(), _vec(seed=2))),
     ("exp", ad.exp, (_vec(),)),
     ("log", ad.log, (_vec(),)),
-    ("tsum", ad.tsum, (_vec(),)),
     ("mean_rows", ad.mean_rows, (_mat(),)),
-    ("l2_normalize", ad.l2_normalize, (_vec(),)),
     ("softmax_temp", lambda a: ad.softmax_temp(a, 0.5), (_vec(),)),
     ("cross_entropy", lambda a: ad.cross_entropy(a, 1), (_vec(),)),
 ]

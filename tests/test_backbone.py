@@ -106,9 +106,63 @@ def softplus(a):
     return ad._node(y, (a,), bwd)
 
 
-# the two ops above as entries of tests/test_autodiff.py's list of every op
+def sub(a, b):
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"sub: {a.shape} vs {b.shape}")
+
+    def bwd(g):
+        if a.requires_grad:
+            a._accum(g)
+        if b.requires_grad:
+            b._accum(-g)
+
+    return ad._node(a.data - b.data, (a, b), bwd)
+
+
+def dot(a, b):
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    if a.data.ndim != 1 or a.data.shape != b.data.shape:
+        raise ValueError(f"dot: {a.shape} vs {b.shape}")
+
+    def bwd(g):
+        if a.requires_grad:
+            a._accum(g * b.data)
+        if b.requires_grad:
+            b._accum(g * a.data)
+
+    return ad._node(np.dot(a.data, b.data), (a, b), bwd)
+
+
+def tsum(a):
+    a = ad.as_tensor(a)
+
+    def bwd(g):
+        a._accum(np.full_like(a.data, float(g)))
+
+    return ad._node(a.data.sum(), (a,), bwd)
+
+
+def l2_normalize(v):
+    """Normalize a vector to unit length; full Jacobian (I - uu^T)/||v||."""
+    v = ad.as_tensor(v)
+    if v.data.ndim != 1:
+        raise ValueError(f"l2_normalize expects 1-D, got {v.shape}")
+    u, n = ad._unit(v.data)
+
+    def bwd(g):
+        v._accum((g - u * np.dot(u, g)) / n)
+
+    return ad._node(u, (v,), bwd)
+
+
+# the ops above as entries of tests/test_autodiff.py's list of every op
 _VEC = np.random.default_rng(0).uniform(0.5, 1.5, size=3)
-REFERENCE_OPS = [("tanh", tanh, (_VEC,)), ("softplus", softplus, (_VEC,))]
+_VEC2 = np.random.default_rng(2).uniform(0.5, 1.5, size=3)
+REFERENCE_OPS = [("tanh", tanh, (_VEC,)), ("softplus", softplus, (_VEC,)),
+                 ("sub", sub, (_VEC, _VEC2)), ("dot", dot, (_VEC, _VEC2)),
+                 ("tsum", tsum, (_VEC,)),
+                 ("l2_normalize", l2_normalize, (_VEC,))]
 
 
 class TestReferenceOps:
@@ -119,7 +173,7 @@ class TestReferenceOps:
                                    atol=1e-15)
         assert y.data[0] > 0.0  # stable, no underflow to exactly 0 needed
         assert y.data[2] == pytest.approx(np.log(2.0))
-        err = ad.gradcheck(lambda w: ad.tsum(softplus(w)),
+        err = ad.gradcheck(lambda w: tsum(softplus(w)),
                            ad.Tensor([0.3, -0.7, 1.2]))
         assert err < 1e-8
 
@@ -140,8 +194,8 @@ def reference_tape_encode(params, frames):
     p = params.params
     h = tanh(ad.add(ad.matmul(ad.Tensor(frames), p["enc.W1"]), p["enc.b1"]))
     m = p["enc.M"]
-    mix = ad.add(ad.sub(m, ad.matmul(m, params.unif)), params.unif)
-    tokens = ad.sub(softplus(ad.matmul(mix, h)), params.shift)
+    mix = ad.add(sub(m, ad.matmul(m, params.unif)), params.unif)
+    tokens = sub(softplus(ad.matmul(mix, h)), params.shift)
     return bb.EncodedClip(tokens=tokens, pooled=ad.mean_rows(tokens))
 
 
@@ -156,7 +210,7 @@ def reference_tape_spatial_embed(params, enc):
     """spatial_embed as the op-by-op tape built it: matmul, add,
     l2_normalize."""
     p = params.params
-    return ad.l2_normalize(
+    return l2_normalize(
         ad.add(ad.matmul(p["spat.W"], enc.pooled), p["spat.b"]))
 
 
@@ -174,7 +228,7 @@ def reference_tape_alignment_loss(student_logits, teacher_logits, tau_s,
     log, dot, scale by -1."""
     p_q = ad.softmax_temp(student_logits, tau_s)
     p_k = ad.softmax_temp(teacher_logits, tau_t)
-    return ad.scale(ad.dot(p_k, ad.log(p_q)), -1.0)
+    return ad.scale(dot(p_k, ad.log(p_q)), -1.0)
 
 
 def reference_tape_acl_loss(anchor, sel, tau):
@@ -182,14 +236,14 @@ def reference_tape_acl_loss(anchor, sel, tau):
     tsum per set, add, log, log, sub."""
     anchor = ad.as_tensor(anchor)
     pos = ad.Tensor(sel.positives)
-    s_pos = ad.tsum(ad.exp(ad.scale(ad.matmul(pos, anchor), 1.0 / tau)))
+    s_pos = tsum(ad.exp(ad.scale(ad.matmul(pos, anchor), 1.0 / tau)))
     if len(sel.negatives):
         neg = ad.Tensor(sel.negatives)
-        s_neg = ad.tsum(ad.exp(ad.scale(ad.matmul(neg, anchor), 1.0 / tau)))
+        s_neg = tsum(ad.exp(ad.scale(ad.matmul(neg, anchor), 1.0 / tau)))
         total = ad.add(s_pos, s_neg)
     else:
         total = s_pos
-    return ad.sub(ad.log(total), ad.log(s_pos))
+    return sub(ad.log(total), ad.log(s_pos))
 
 
 # the fused loss-side heads and their op-by-op references, in one order
@@ -255,8 +309,8 @@ class TestEncodeBitIdentity:
                 enc = enc_fn(s, frames)
                 terms += [
                     ad.cross_entropy(cls_fn(s, enc), i % dims.n_classes),
-                    ad.dot(bb.spatial_embed(s, enc), ad.Tensor(c_spat)),
-                    ad.dot(bb.temporal_embed(s, 1 + i % dims.n_scales,
+                    dot(bb.spatial_embed(s, enc), ad.Tensor(c_spat)),
+                    dot(bb.temporal_embed(s, 1 + i % dims.n_scales,
                                              enc.tokens), ad.Tensor(c_temp))]
             loss = terms[0]
             for t in terms[1:]:
@@ -373,7 +427,7 @@ class TestLossHeadsBitIdentity:
                 anchor = spatial(s, enc)
                 # a third reader of the anchor, so that the order of the
                 # InfoNCE's two contributions shows in its rounding
-                terms += [anchor, ad.dot(anchor, ad.Tensor(reads[i])),
+                terms += [anchor, dot(anchor, ad.Tensor(reads[i])),
                           contrast(anchor, sels[i], tr.TAU),
                           ad.cross_entropy(bb.classify(s, enc),
                                            i % dims.n_classes)]

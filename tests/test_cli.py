@@ -67,6 +67,9 @@ INVALID_OPTIONS = {
     "train-d_k-0": ("train", "d_k", 0),
     "train-checkpoint_every-0": ("train", "checkpoint_every", 0),
     "train-strides-value24": ("train", "strides", [2, 0, 8]),
+    # the short-term clip must be the shortest, and no scale may repeat
+    "train-strides-decreasing": ("train", "strides", [8, 4]),
+    "train-strides-repeated": ("train", "strides", [8, 8]),
     "ablation-use_acll-False": ("ablation", "use_acll", False),
     "ablation-None-value26": ("ablation", None, [1]),
     "train-None-value27": ("train", None, [1]),

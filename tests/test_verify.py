@@ -35,9 +35,13 @@ def reference_oracle_em(points, n_restarts=50, seed=0):
                 break
             prev = ll
             r = np.exp(log_p - norm[:, None])
-            nk = r.sum(axis=0)
-            mu = (r * x[:, None]).sum(axis=0) / nk
-            var = np.maximum((r * (x[:, None] - mu) ** 2).sum(axis=0) / nk, 1e-6)
+            # each component's sums are pairwise over its own points
+            nk = np.array([r[:, k].sum() for k in (0, 1)])
+            rx = r * x[:, None]
+            mu = np.array([rx[:, k].sum() for k in (0, 1)]) / nk
+            sq = r * (x[:, None] - mu) ** 2
+            var = np.maximum(np.array([sq[:, k].sum() for k in (0, 1)]) / nk,
+                             1e-6)
             w = nk / x.size
         else:
             stops.append(None)
