@@ -38,7 +38,9 @@ def score_candidates(sets: list) -> list:
 
     Distances are cosines to the set's class prototype. Sets too small or
     too concentrated for a meaningful mixture get score 1.0 everywhere. A
-    set whose class has no prototype yet (None) gets None.
+    set whose class has no prototype yet (None) gets None. A set of at
+    least gmm.MIN_POINTS candidates with a non-finite distance raises
+    ValueError.
     """
     dists = [None] * len(sets)
     for i, (candidates, prototype) in enumerate(sets):
@@ -46,8 +48,9 @@ def score_candidates(sets: list) -> list:
             stacked = np.asarray(candidates, dtype=np.float64)
             norms = np.linalg.norm(stacked, axis=1) * np.linalg.norm(prototype)
             dists[i] = stacked @ prototype / norms
+    # written as "not ... <" so that a NaN spread is fitted, and refused
     fitted = [i for i, d in enumerate(dists) if d is not None
-              and len(d) >= gmm.MIN_POINTS and d.std() >= gmm.MIN_SPREAD]
+              and len(d) >= gmm.MIN_POINTS and not d.std() < gmm.MIN_SPREAD]
     scores = [None if d is None else np.ones(len(d)) for d in dists]
     for i, fit in zip(fitted, gmm.fit_gmm_many([dists[i] for i in fitted])):
         scores[i] = gmm.reliability_many(fit, dists[i])

@@ -27,8 +27,8 @@ each node's parents are ordered so that ``backward``'s depth-first search
 meets them as it met the chain's, so the gradients are bit-identical. The
 tests keep those chains as the reference that the fused nodes are checked
 against (``tests/test_backbone.py``), together with the ops that only the
-chains use: ``tanh``, ``softplus``, ``sub``, ``dot``, ``tsum`` and
-``l2_normalize``.
+chains use: ``matmul``, ``exp``, ``log``, ``softmax_temp``, ``tanh``,
+``softplus``, ``sub``, ``dot``, ``tsum`` and ``l2_normalize``.
 """
 
 from __future__ import annotations
@@ -150,50 +150,6 @@ def scale(a, c):
     return _node(a.data * c, (a,), bwd)
 
 
-def matmul(a, b):
-    """2-D @ 2-D or 2-D @ 1-D product."""
-    a, b = as_tensor(a), as_tensor(b)
-    sa, sb = a.data.shape, b.data.shape
-    if len(sa) != 2 or len(sb) not in (1, 2):
-        raise ValueError(f"matmul: ndim {len(sa)} @ {len(sb)}")
-    if sa[1] != sb[0]:
-        raise ValueError(f"matmul: inner dims {sa} @ {sb}")
-
-    if len(sb) == 2:
-        def bwd(g):
-            if a.requires_grad:
-                a._accum(g @ b.data.T)
-            if b.requires_grad:
-                b._accum(a.data.T @ g)
-    else:
-        def bwd(g):
-            if a.requires_grad:
-                a._accum(np.outer(g, b.data))
-            if b.requires_grad:
-                b._accum(a.data.T @ g)
-
-    return _node(a.data @ b.data, (a, b), bwd)
-
-
-def exp(a):
-    a = as_tensor(a)
-    y = np.exp(a.data)
-
-    def bwd(g):
-        a._accum(g * y)
-
-    return _node(y, (a,), bwd)
-
-
-def log(a):
-    a = as_tensor(a)
-
-    def bwd(g):
-        a._accum(g / a.data)
-
-    return _node(np.log(a.data), (a,), bwd)
-
-
 def mean_rows(a):
     """Mean over axis 0 of a 2-D tensor (temporal pooling)."""
     a = as_tensor(a)
@@ -218,21 +174,10 @@ def _unit(v):
     return v / n, n
 
 
-def softmax_temp(logits, tau):
-    """Temperature softmax over a 1-D tensor; subtract-max stabilized."""
-    logits = as_tensor(logits)
-    y = _softmax(logits.data, tau)
-
-    def bwd(g):
-        logits._accum(y * (g - np.dot(g, y)) / tau)
-
-    return _node(y, (logits,), bwd)
-
-
 def _softmax(x, tau):
-    """softmax_temp's values for a 1-D array x, with its checks."""
+    """Temperature softmax of a 1-D array x, subtract-max stabilized."""
     if x.ndim != 1:
-        raise ValueError(f"softmax_temp expects 1-D, got {x.shape}")
+        raise ValueError(f"softmax expects 1-D, got {x.shape}")
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     z = x / tau

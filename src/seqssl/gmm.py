@@ -1,7 +1,10 @@
 """Two-component 1-D Gaussian mixture fitted by EM.
 
 The posterior responsibility of the component with the larger mean is used
-as a reliability score for prototype-similarity values in [-1, 1].
+as a reliability score for prototype-similarity values in [-1, 1]. A batch
+of sets is fitted on one flat array of their points, without padding; every
+sum over a set's points is an np.add.reduceat segment sum, so each fit is
+bit-identical to fitting its set alone.
 """
 
 from __future__ import annotations
@@ -49,18 +52,19 @@ def fit_gmm(points) -> GmmFit:
 
 def fit_gmm_many(sets) -> list:
     """Fit one mixture per set by EM with deterministic median-split
-    initialization, all sets in one padded (B, 2, N) batch.
+    initialization, all sets in one batch: the sorted sets side by side in
+    one flat (P,) array, each set's parameters a column of (2, B) arrays.
 
     Each set converges when its absolute log-likelihood change drops below
     LL_TOL, or after MAX_ITERS iterations, and then leaves the batch. Raises
-    ValueError for a set of < 4 points or a sample standard deviation
-    < 1e-6 (callers route those cases to the degenerate scoring path
-    instead).
+    ValueError for a set of < 4 points, with a non-finite point, or with a
+    sample standard deviation < 1e-6 (callers route small and concentrated
+    sets to the degenerate scoring path instead).
 
     Every fit is bit-identical to fitting its set alone: element-wise terms
-    are computed in the same order, each set's log-likelihood is summed over
-    its own unpadded slice, and the sums over points are sequential
-    (cumsum), with the zero-responsibility padding added last.
+    do not depend on the neighbours, and every sum over a set's points is an
+    np.add.reduceat segment sum, which reads only that set's points (its
+    first point plus numpy's pairwise sum of the rest).
     """
     xs = [np.sort(np.asarray(points, dtype=np.float64)) for points in sets]
     if not xs:
@@ -69,79 +73,70 @@ def fit_gmm_many(sets) -> list:
         if x.size < MIN_POINTS:
             raise ValueError(
                 f"need at least {MIN_POINTS} points, got {x.size}")
-        if x.std() < MIN_SPREAD:
+        if not np.isfinite(x).all():
+            raise ValueError("points must be finite")
+        # written as "not ... >=" so that a NaN fails too
+        if not x.std() >= MIN_SPREAD:
             raise ValueError(
                 f"sample standard deviation below {MIN_SPREAD}")
 
-    sizes = [x.size for x in xs]                              # Python ints
-    n = np.array(sizes, dtype=int)[:, None]                   # (B, 1)
-    x = np.zeros((len(xs), n.max()))
-    means = np.empty((len(xs), 2))
-    variances = np.empty((len(xs), 2))
-    weights = np.empty((len(xs), 2))
+    sizes = np.array([x.size for x in xs])
+    means = np.empty((2, len(xs)))
+    variances = np.empty((2, len(xs)))
+    weights = np.empty((2, len(xs)))
     for b, row in enumerate(xs):
-        x[b, :row.size] = row
         half = row.size // 2
         lo, hi = row[:half], row[half:]
-        means[b] = [lo.mean(), hi.mean()]
-        variances[b] = np.maximum(np.array([lo.var(), hi.var()]), VAR_FLOOR)
-        weights[b] = [half / row.size, (row.size - half) / row.size]
+        means[:, b] = lo.mean(), hi.mean()
+        variances[:, b] = np.maximum(np.array([lo.var(), hi.var()]),
+                                     VAR_FLOOR)
+        weights[:, b] = half / row.size, (row.size - half) / row.size
 
-    rows = list(range(len(xs)))     # which set each batch row fits
+    rows = list(range(len(xs)))     # which set each batch column fits
     traces = [[] for _ in xs]
     fits = [None] * len(xs)
-    real = _real_points(n, x.shape[1])
-    sq = (x[:, None, :] - means[..., None]) ** 2              # (B, 2, N)
+    x = np.concatenate(xs)                                     # (P,)
+    starts = np.cumsum(sizes) - sizes
+    sq = (x - np.repeat(means, sizes, axis=1)) ** 2            # (2, P)
     for _ in range(MAX_ITERS):
-        lj = _log_joint(sq, variances[..., None], weights[..., None])
-        m = np.maximum(lj[:, 0], lj[:, 1])
-        e = np.exp(lj - m[:, None, :])
-        log_norm = m + np.log(e[:, 0] + e[:, 1])
+        lj = _log_joint(sq, np.repeat(variances, sizes, axis=1),
+                        np.repeat(weights, sizes, axis=1))
+        log_norm = np.logaddexp(lj[0], lj[1])
+        ll = np.add.reduceat(log_norm, starts)
         done = []
         for b, r in enumerate(rows):
             trace = traces[r]
-            trace.append(np.add.reduce(log_norm[b, :sizes[b]]))
+            trace.append(ll[b])
             if len(trace) > 1 and abs(trace[-1] - trace[-2]) < LL_TOL:
-                fits[r] = _make_fit(means[b], variances[b], weights[b], trace)
+                fits[r] = _make_fit(means[:, b], variances[:, b],
+                                    weights[:, b], trace)
                 done.append(b)
         if len(done) == len(rows):
             break
 
-        # responsibilities and responsibility-weighted points, summed over
-        # the points in one sequential pass
-        acc = np.empty((2,) + lj.shape)
-        resp = np.exp(lj - log_norm[:, None, :], out=acc[0])
-        if real is not None:
-            resp *= real
-        np.multiply(resp, x[:, None, :], out=acc[1])
-        nk, weighted = np.cumsum(acc, axis=-1)[..., -1]
-        means = weighted / nk
-        sq = (x[:, None, :] - means[..., None]) ** 2
+        resp = np.exp(lj - log_norm)
+        nk = np.add.reduceat(resp, starts, axis=-1)
+        means = np.add.reduceat(resp * x, starts, axis=-1) / nk
+        sq = (x - np.repeat(means, sizes, axis=1)) ** 2
         variances = np.maximum(
-            np.cumsum(resp * sq, axis=-1)[..., -1] / nk, VAR_FLOOR)
-        weights = nk / n
+            np.add.reduceat(resp * sq, starts, axis=-1) / nk, VAR_FLOOR)
+        weights = nk / sizes
 
         if done:
-            keep = [b for b in range(len(rows)) if b not in done]
-            rows, n = [rows[b] for b in keep], n[keep]
-            sizes = [sizes[b] for b in keep]
-            width = n.max()
-            x, sq = x[keep, :width], sq[keep, :, :width]
-            means, variances, weights = means[keep], variances[keep], weights[keep]
-            real = _real_points(n, width)
+            keep = np.ones(len(rows), dtype=bool)
+            keep[done] = False
+            points = np.repeat(keep, sizes)
+            rows = [r for r, k in zip(rows, keep) if k]
+            x, sq, sizes = x[points], sq[:, points], sizes[keep]
+            means, variances, weights = (means[:, keep], variances[:, keep],
+                                         weights[:, keep])
+            starts = np.cumsum(sizes) - sizes
     else:
-        # MAX_ITERS reached: the rows left keep their last M-step
+        # MAX_ITERS reached: the sets left keep their last M-step
         for b, r in enumerate(rows):
-            fits[r] = _make_fit(means[b], variances[b], weights[b], traces[r])
+            fits[r] = _make_fit(means[:, b], variances[:, b], weights[:, b],
+                                traces[r])
     return fits
-
-
-def _real_points(n, width):
-    """(B, 1, width) mask, 1.0 on each row's points and 0.0 on its padding;
-    None when no row is padded."""
-    if n.min() == width:
-        return None
-    return (np.arange(width) < n[..., None]) * 1.0
 
 
 def _make_fit(means, variances, weights, trace) -> GmmFit:

@@ -71,6 +71,16 @@ class TestScoreCandidates:
         assert (scores[:50] > 0.99).all()
         assert (scores[50:] < 0.01).all()
 
+    def test_non_finite_distance_raises(self):
+        # a NaN spread is not "too concentrated": the set goes to the fit,
+        # which refuses it, instead of scoring 1.0 everywhere
+        rng = np.random.default_rng(5)
+        proto = unit(rng)
+        cands = [unit_near(rng, proto, c) for c in (0.1, 0.3, 0.5, 0.7)]
+        cands[1] = np.full(proto.shape, np.nan)
+        with pytest.raises(ValueError, match="points must be finite"):
+            acl.score_candidates([(cands, proto)])
+
     def test_missing_prototype(self):
         # no prototype yet: the set gets no scores, and select falls back
         assert acl.score_candidates([([np.ones(3)], None)]) == [None]

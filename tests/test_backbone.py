@@ -156,13 +156,74 @@ def l2_normalize(v):
     return ad._node(u, (v,), bwd)
 
 
+def matmul(a, b):
+    """2-D @ 2-D or 2-D @ 1-D product."""
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    sa, sb = a.data.shape, b.data.shape
+    if len(sa) != 2 or len(sb) not in (1, 2):
+        raise ValueError(f"matmul: ndim {len(sa)} @ {len(sb)}")
+    if sa[1] != sb[0]:
+        raise ValueError(f"matmul: inner dims {sa} @ {sb}")
+
+    if len(sb) == 2:
+        def bwd(g):
+            if a.requires_grad:
+                a._accum(g @ b.data.T)
+            if b.requires_grad:
+                b._accum(a.data.T @ g)
+    else:
+        def bwd(g):
+            if a.requires_grad:
+                a._accum(np.outer(g, b.data))
+            if b.requires_grad:
+                b._accum(a.data.T @ g)
+
+    return ad._node(a.data @ b.data, (a, b), bwd)
+
+
+def exp(a):
+    a = ad.as_tensor(a)
+    y = np.exp(a.data)
+
+    def bwd(g):
+        a._accum(g * y)
+
+    return ad._node(y, (a,), bwd)
+
+
+def log(a):
+    a = ad.as_tensor(a)
+
+    def bwd(g):
+        a._accum(g / a.data)
+
+    return ad._node(np.log(a.data), (a,), bwd)
+
+
+def softmax_temp(logits, tau):
+    """Temperature softmax over a 1-D tensor; subtract-max stabilized."""
+    logits = ad.as_tensor(logits)
+    y = ad._softmax(logits.data, tau)
+
+    def bwd(g):
+        logits._accum(y * (g - np.dot(g, y)) / tau)
+
+    return ad._node(y, (logits,), bwd)
+
+
 # the ops above as entries of tests/test_autodiff.py's list of every op
 _VEC = np.random.default_rng(0).uniform(0.5, 1.5, size=3)
 _VEC2 = np.random.default_rng(2).uniform(0.5, 1.5, size=3)
+_MAT = np.random.default_rng(1).uniform(0.5, 1.5, size=(4, 3))
+_MAT32 = np.random.default_rng(1).uniform(0.5, 1.5, size=(3, 2))
 REFERENCE_OPS = [("tanh", tanh, (_VEC,)), ("softplus", softplus, (_VEC,)),
                  ("sub", sub, (_VEC, _VEC2)), ("dot", dot, (_VEC, _VEC2)),
                  ("tsum", tsum, (_VEC,)),
-                 ("l2_normalize", l2_normalize, (_VEC,))]
+                 ("l2_normalize", l2_normalize, (_VEC,)),
+                 ("matmul-2d", matmul, (_MAT, _MAT32)),
+                 ("matmul-1d", matmul, (_MAT, _VEC)),
+                 ("exp", exp, (_VEC,)), ("log", log, (_VEC,)),
+                 ("softmax_temp", lambda a: softmax_temp(a, 0.5), (_VEC,))]
 
 
 class TestReferenceOps:
@@ -192,18 +253,18 @@ def reference_tape_encode(params, frames):
     """encode as the op-by-op tape built it before the encoder became one
     node: ten nodes per clip."""
     p = params.params
-    h = tanh(ad.add(ad.matmul(ad.Tensor(frames), p["enc.W1"]), p["enc.b1"]))
+    h = tanh(ad.add(matmul(ad.Tensor(frames), p["enc.W1"]), p["enc.b1"]))
     m = p["enc.M"]
-    mix = ad.add(sub(m, ad.matmul(m, params.unif)), params.unif)
-    tokens = sub(softplus(ad.matmul(mix, h)), params.shift)
+    mix = ad.add(sub(m, matmul(m, params.unif)), params.unif)
+    tokens = sub(softplus(matmul(mix, h)), params.shift)
     return bb.EncodedClip(tokens=tokens, pooled=ad.mean_rows(tokens))
 
 
 def reference_tape_classify(params, enc):
     """classify as the op-by-op tape built it: matmul, add, softmax_temp."""
     p = params.params
-    return ad.softmax_temp(
-        ad.add(ad.matmul(p["cls.W"], enc.pooled), p["cls.b"]), 1.0)
+    return softmax_temp(
+        ad.add(matmul(p["cls.W"], enc.pooled), p["cls.b"]), 1.0)
 
 
 def reference_tape_spatial_embed(params, enc):
@@ -211,14 +272,14 @@ def reference_tape_spatial_embed(params, enc):
     l2_normalize."""
     p = params.params
     return l2_normalize(
-        ad.add(ad.matmul(p["spat.W"], enc.pooled), p["spat.b"]))
+        ad.add(matmul(p["spat.W"], enc.pooled), p["spat.b"]))
 
 
 def reference_tape_temporal_embed(params, scale_index, tokens):
     """temporal_embed as the op-by-op tape built it: mean_rows, matmul,
     add."""
     p = params.params
-    return ad.add(ad.matmul(p[f"temp{scale_index}.W"], ad.mean_rows(tokens)),
+    return ad.add(matmul(p[f"temp{scale_index}.W"], ad.mean_rows(tokens)),
                   p[f"temp{scale_index}.b"])
 
 
@@ -226,9 +287,9 @@ def reference_tape_alignment_loss(student_logits, teacher_logits, tau_s,
                                   tau_t):
     """mtl.alignment_loss as the op-by-op tape built it: two softmax_temp,
     log, dot, scale by -1."""
-    p_q = ad.softmax_temp(student_logits, tau_s)
-    p_k = ad.softmax_temp(teacher_logits, tau_t)
-    return ad.scale(dot(p_k, ad.log(p_q)), -1.0)
+    p_q = softmax_temp(student_logits, tau_s)
+    p_k = softmax_temp(teacher_logits, tau_t)
+    return ad.scale(dot(p_k, log(p_q)), -1.0)
 
 
 def reference_tape_acl_loss(anchor, sel, tau):
@@ -236,14 +297,14 @@ def reference_tape_acl_loss(anchor, sel, tau):
     tsum per set, add, log, log, sub."""
     anchor = ad.as_tensor(anchor)
     pos = ad.Tensor(sel.positives)
-    s_pos = tsum(ad.exp(ad.scale(ad.matmul(pos, anchor), 1.0 / tau)))
+    s_pos = tsum(exp(ad.scale(matmul(pos, anchor), 1.0 / tau)))
     if len(sel.negatives):
         neg = ad.Tensor(sel.negatives)
-        s_neg = tsum(ad.exp(ad.scale(ad.matmul(neg, anchor), 1.0 / tau)))
+        s_neg = tsum(exp(ad.scale(matmul(neg, anchor), 1.0 / tau)))
         total = ad.add(s_pos, s_neg)
     else:
         total = s_pos
-    return sub(ad.log(total), ad.log(s_pos))
+    return sub(log(total), log(s_pos))
 
 
 # the fused loss-side heads and their op-by-op references, in one order
