@@ -25,7 +25,7 @@ print(f"clip strides and frame spans: {spans}")
 
 # Calibration: identical token sequences get attention exactly 1 everywhere;
 # unrelated content is scaled down before alignment.
-q = encode(state.student, clips[0]).tokens.data
+q = encode(state.student, clips[0]).tokens
 k_same = mtl.calibrate(q, q)
 print(f"self-calibration attention  : {k_same.attention.round(6)}")
 
@@ -41,13 +41,13 @@ targets = [z - c for z, c in zip(mtl.teacher_scale_logits(state.teacher, weak),
 loss = mtl.mtl_loss_from_clips(strong_short, state.student, targets, tr.TAU_S,
                                tr.TAU_T)
 print(f"alignment loss (mean over scales): {loss.item():.4f}")
-q_teacher = encode(state.teacher, weak[0]).tokens.data
-tokens = encode(state.student, strong_short).tokens
+q_teacher = encode(state.teacher, weak[0]).tokens
+pooled = encode(state.student, strong_short).pooled
 for n, target in enumerate(targets, start=1):
-    scale_loss = mtl.alignment_loss(temporal_embed(state.student, n, tokens),
+    scale_loss = mtl.alignment_loss(temporal_embed(state.student, n, pooled),
                                     target, tr.TAU_S, tr.TAU_T).item()
     mean_attn = mtl.calibrate(
-        q_teacher, encode(state.teacher, weak[n]).tokens.data).attention.mean()
+        q_teacher, encode(state.teacher, weak[n]).tokens).attention.mean()
     stride = cfg.strides[n]
     print(f"  scale {n} (stride {stride:2d}): loss={scale_loss:.4f}, "
           f"mean attention={mean_attn:.4f}")

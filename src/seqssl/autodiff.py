@@ -11,11 +11,11 @@ Six chains of ops are fused into one node each through ``_node``, because
 on the training path their cost was per-node overhead rather than
 arithmetic:
 
-- ``backbone.encode``: matmul, add, tanh, sub, softplus (the tokens of one
-  clip);
+- ``backbone.encode``: matmul, add, tanh, sub, softplus, mean_rows (the
+  pooled feature of one clip);
 - ``backbone.classify``: matmul, add, softmax_temp;
 - ``backbone.spatial_embed``: matmul, add, l2_normalize;
-- ``backbone.temporal_embed``: mean_rows, matmul, add;
+- ``backbone.temporal_embed``: matmul, add;
 - ``mtl.alignment_loss``: softmax_temp of the student and of the constant
   teacher logits, log, dot, scale by -1;
 - ``acl.acl_loss``: the InfoNCE, matmul, scale, exp and tsum for the
@@ -28,7 +28,8 @@ meets them as it met the chain's, so the gradients are bit-identical. The
 tests keep those chains as the reference that the fused nodes are checked
 against (``tests/test_backbone.py``), together with the ops that only the
 chains use: ``matmul``, ``exp``, ``log``, ``softmax_temp``, ``tanh``,
-``softplus``, ``sub``, ``dot``, ``tsum`` and ``l2_normalize``.
+``softplus``, ``sub``, ``dot``, ``tsum``, ``l2_normalize`` and
+``mean_rows``.
 """
 
 from __future__ import annotations
@@ -148,21 +149,6 @@ def scale(a, c):
         a._accum(g * c)
 
     return _node(a.data * c, (a,), bwd)
-
-
-def mean_rows(a):
-    """Mean over axis 0 of a 2-D tensor (temporal pooling)."""
-    a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise ValueError(f"mean_rows expects 2-D, got {a.shape}")
-    t = a.data.shape[0]
-
-    def bwd(g):
-        # += in _accum broadcasts the row gradient over the t rows
-        a._accum(g / t)
-
-    # np.mean's own sum and division, without its Python wrapper
-    return _node(np.add.reduce(a.data, axis=0) / t, (a,), bwd)
 
 
 def _unit(v):

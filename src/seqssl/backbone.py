@@ -51,7 +51,9 @@ class Clip:
 
 @dataclass
 class EncodedClip:
-    tokens: ad.Tensor           # (T, d_h)
+    """A clip's tokens as a plain array, and their temporal mean as the one
+    tape node that every head reads."""
+    tokens: np.ndarray          # (T, d_h)
     pooled: ad.Tensor           # (d_h,)
 
 
@@ -105,8 +107,8 @@ class ParamSet:
 
 
 def encode(params: ParamSet, clip: Clip) -> EncodedClip:
-    """Tokens of one clip, one tape node for the whole encoder, and their
-    temporal mean as a second node."""
+    """Tokens of one clip as an array, and their temporal mean as one tape
+    node for the whole encoder."""
     dims = params.dims
     if clip.frames.shape != (dims.clip_len, dims.d_in):
         raise ValueError(
@@ -129,13 +131,18 @@ def encode(params: ParamSet, clip: Clip) -> EncodedClip:
     # normalized embeddings of different clips do not all collapse toward one
     # orthant direction. The shift is a constant of the ParamSet too.
     pre = mix @ h
+    tokens = np.logaddexp(0.0, pre) - params.shift
+    t = dims.clip_len
 
     # The backward replays, one for one, the accumulations that the op-by-op
-    # tape (matmul, add, tanh, sub, softplus) made: only this node reads its
-    # internal values, so the tape ran those ops back to back. The sigmoid
-    # is left to the backward, so a teacher call never computes it.
+    # tape (matmul, add, tanh, sub, softplus, mean_rows) made: only this node
+    # reads its internal values, so the tape ran those ops back to back. The
+    # sigmoid is left to the backward, so a teacher call never computes it.
     def bwd(g):
-        g = g * (1.0 / (1.0 + np.exp(-pre)))
+        # mean_rows' accumulation into the zeroed tokens gradient
+        g_tokens = np.zeros(tokens.shape)
+        g_tokens += g / t
+        g = g_tokens * (1.0 / (1.0 + np.exp(-pre)))
         g_mix = g @ h.T
         g_h = mix.T @ g
         if m.requires_grad:
@@ -147,8 +154,9 @@ def encode(params: ParamSet, clip: Clip) -> EncodedClip:
         if w1.requires_grad:
             w1._accum(x.T @ g_h)
 
-    tokens = ad._node(np.logaddexp(0.0, pre) - params.shift, (w1, b1, m), bwd)
-    return EncodedClip(tokens=tokens, pooled=ad.mean_rows(tokens))
+    # np.mean's own sum and division, without its Python wrapper
+    pooled = ad._node(np.add.reduce(tokens, axis=0) / t, (w1, b1, m), bwd)
+    return EncodedClip(tokens=tokens, pooled=pooled)
 
 
 def classify(params: ParamSet, enc: EncodedClip) -> ad.Tensor:
@@ -193,33 +201,27 @@ def spatial_embed(params: ParamSet, enc: EncodedClip) -> ad.Tensor:
     return ad._node(u, (w, pooled, b), bwd)
 
 
-def temporal_embed(params: ParamSet, scale_index: int, tokens) -> ad.Tensor:
-    """Logits of the scale-specific temporal head on mean-pooled tokens (a
-    Tensor or an array), one tape node whose backward replays the op-by-op
-    tape (mean_rows, matmul, add): b, W, tokens."""
+def temporal_embed(params: ParamSet, scale_index: int, pooled) -> ad.Tensor:
+    """Logits of the scale-specific temporal head on a pooled (d_h,) clip
+    feature (a Tensor or an array), one tape node whose backward replays the
+    op-by-op tape (matmul, add): b, W, pooled."""
     if not 1 <= scale_index <= params.dims.n_scales:
         raise IndexError(
             f"scale {scale_index} outside 1..{params.dims.n_scales}")
-    tokens = ad.as_tensor(tokens)
-    if tokens.data.ndim != 2:
-        raise ValueError(f"temporal_embed expects 2-D tokens, got {tokens.shape}")
+    pooled = ad.as_tensor(pooled)
     w = params.params[f"temp{scale_index}.W"]
     b = params.params[f"temp{scale_index}.b"]
-    t = tokens.data.shape[0]
-    # mean_rows' sum and division
-    pooled = np.add.reduce(tokens.data, axis=0) / t
 
     def bwd(g):
         if b.requires_grad:
             b._accum(g)
         if w.requires_grad:
-            w._accum(np.outer(g, pooled))
-        if tokens.requires_grad:
-            # += in _accum broadcasts the row gradient over the t rows
-            tokens._accum((w.data.T @ g) / t)
+            w._accum(np.outer(g, pooled.data))
+        if pooled.requires_grad:
+            pooled._accum(w.data.T @ g)
 
-    # the search meets b, tokens and W in the op-by-op chain's order
-    return ad._node(w.data @ pooled + b.data, (w, tokens, b), bwd)
+    # the search meets b, pooled and W in the op-by-op chain's order
+    return ad._node(w.data @ pooled.data + b.data, (w, pooled, b), bwd)
 
 
 def ema_update(teacher: ParamSet, student: ParamSet, m: float) -> None:

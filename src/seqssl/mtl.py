@@ -80,19 +80,23 @@ def alignment_loss(student_logits, teacher_logits, tau_s: float,
 
 
 def teacher_scale_logits(teacher: ParamSet, weak: List[Clip]):
-    """Uncentred teacher logits of the calibrated long-term tokens, one array
-    per long-term scale. ``weak`` holds the weak views, short-term clip first.
+    """Uncentred teacher logits of the mean calibrated long-term tokens, one
+    array per long-term scale. ``weak`` holds the weak views, short-term clip
+    first.
 
     The calibration query is the teacher's view of the short clip: the whole
     target side stays constant in student parameters, so alignment cannot be
     gamed by steering the attention instead of the representation, and the
     calibration runs on the teacher's token arrays.
     """
-    q_tokens = encode(teacher, weak[0]).tokens.data
+    q_tokens = encode(teacher, weak[0]).tokens
     out = []
     for n, long_clip in enumerate(weak[1:], start=1):
-        calib = calibrate(q_tokens, encode(teacher, long_clip).tokens.data)
-        out.append(temporal_embed(teacher, n, calib.calibrated_tokens).data)
+        calib = calibrate(q_tokens, encode(teacher, long_clip).tokens)
+        k = calib.calibrated_tokens
+        # the mean with encode's sum and division
+        out.append(temporal_embed(teacher, n,
+                                  np.add.reduce(k, axis=0) / len(k)).data)
     return out
 
 
@@ -101,10 +105,10 @@ def mtl_loss_from_clips(strong_short: Clip, student: ParamSet, targets,
     """Mean over the long-term scales of the alignment loss between the
     student's temporal logits of the strong short-term clip and
     ``targets[n-1]``, the teacher logits of scale n (constants)."""
-    qstar_tokens = encode(student, strong_short).tokens    # aligned student repr
+    qstar = encode(student, strong_short).pooled    # aligned student repr
     total = None
     for n, target in enumerate(targets, start=1):
-        loss_n = alignment_loss(temporal_embed(student, n, qstar_tokens),
+        loss_n = alignment_loss(temporal_embed(student, n, qstar),
                                 target, tau_s, tau_t)
         total = loss_n if total is None else ad.add(total, loss_n)
     return ad.scale(total, 1.0 / len(targets))

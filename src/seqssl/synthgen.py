@@ -29,6 +29,7 @@ from typing import List
 
 import numpy as np
 
+from . import autodiff as ad
 from .backbone import Clip
 
 
@@ -78,10 +79,6 @@ def _motif(kind: str, freq: float, phase: float, t: np.ndarray) -> np.ndarray:
     return 1.0 + 0.9 * base
 
 
-def _unit(v):
-    return v / np.linalg.norm(v)
-
-
 def _build_classes(cfg: DatasetConfig) -> List[SynthClass]:
     if cfg.n_classes % 2 != 0:
         raise ValueError("n_classes must be even (classes are paired)")
@@ -102,16 +99,16 @@ def _build_classes(cfg: DatasetConfig) -> List[SynthClass]:
             # through them) is the only separating evidence, and it reads
             # the same at every clip stride.
             kind_a, kind_b = spatial_kind_pairs[(p // 2) % len(spatial_kind_pairs)]
-            sig = _unit(rng.normal(size=cfg.d_in))
+            sig = ad._unit(rng.normal(size=cfg.d_in))[0]
             classes.append(SynthClass(a, sig, kind_a, freq, confusion_partner=b))
             classes.append(SynthClass(b, sig.copy(), kind_b, freq,
                                       confusion_partner=a))
         else:
             # temporally confusable: shared motif, orthogonal signatures
             kind = twin_kinds[(p // 2) % len(twin_kinds)]
-            s1 = _unit(rng.normal(size=cfg.d_in))
+            s1 = ad._unit(rng.normal(size=cfg.d_in))[0]
             s2 = rng.normal(size=cfg.d_in)
-            s2 = _unit(s2 - np.dot(s2, s1) * s1)
+            s2 = ad._unit(s2 - np.dot(s2, s1) * s1)[0]
             classes.append(SynthClass(a, s1, kind, freq, confusion_partner=b))
             classes.append(SynthClass(b, s2, kind, freq, confusion_partner=a))
     return classes

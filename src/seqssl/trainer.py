@@ -168,10 +168,6 @@ def fused_pseudo_label(teacher: bb.ParamSet, clips: List[bb.Clip]):
     return y_hat, float(fused[y_hat] / len(clips))
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / max(float(np.linalg.norm(v)), 1e-12)
-
-
 def sgd_step(params: bb.ParamSet, velocity: dict, lr: float,
              weight_decay: float) -> None:
     """v <- MOMENTUM*v + grad + wd*p; p <- p - lr*v."""
@@ -234,11 +230,11 @@ def prepare_step_plan(state: TrainerState, labeled_recs, unlabeled_recs,
         for item in labeled_items:
             for clip in item.clips:
                 pooled = bb.encode(state.student, clip).pooled.data
-                protos.update(item.label, _unit(pooled), BETA)
+                protos.update(item.label, ad._unit(pooled)[0], BETA)
         for it in unlabeled_items:
             enc_p = bb.encode(state.teacher, it.weak[0])
             it.f_p = bb.spatial_embed(state.teacher, enc_p).data
-            it.f_score = _unit(enc_p.pooled.data)
+            it.f_score = ad._unit(enc_p.pooled.data)[0]
 
         # the bank and the prototypes stay fixed over the unlabeled batch, so
         # its candidate sets are scored in one batched GMM fit; select falls

@@ -19,6 +19,7 @@ from seqssl import trainer as tr
 from seqssl import verify
 from seqssl.protobank import MemoryBank
 from seqssl.synthgen import DatasetConfig, SynthDataset
+from test_acl import reference_select
 
 
 # ---------------------------------------------------------------------------
@@ -95,20 +96,6 @@ def test_criterion_3_acl_loss_oracle(verification):
 # the anchor's own score <= epsilon, with positives == {f_p} and negatives
 # == the whole bank.
 
-def _reference_select(bank, pseudo_label, f_p, scores, epsilon):
-    entries = list(zip(bank.embeddings, bank.scores, bank.labels))
-    gamma_fp = scores[-1]
-    if gamma_fp <= epsilon:
-        return [f_p], [e for e, _, _ in entries], True
-    cand_positions = [i for i, (_, _, lab) in enumerate(entries)
-                      if lab == pseudo_label]
-    pos_idx = [i for i, s in zip(cand_positions, scores[:-1]) if s > epsilon]
-    positives = [entries[i][0] for i in pos_idx] + [f_p]
-    negatives = [e for i, (e, _, _) in enumerate(entries)
-                 if i not in pos_idx]
-    return positives, negatives, False
-
-
 def test_criterion_4_selection_semantics():
     rng = np.random.default_rng(77)
     for trial in range(300):
@@ -126,8 +113,8 @@ def test_criterion_4_selection_semantics():
         scores = rng.uniform(size=n_cand)
         epsilon = float(rng.uniform(0.2, 0.9))
         sel = acl_mod.select(bank, label, f_p, scores, epsilon)
-        ref_pos, ref_neg, ref_fb = _reference_select(bank, label, f_p,
-                                                     scores, epsilon)
+        ref_pos, ref_neg, ref_fb = reference_select(bank, label, f_p,
+                                                    scores, epsilon)
         assert sel.used_fallback == ref_fb
         assert len(sel.positives) == len(ref_pos)
         for a, b in zip(sel.positives, ref_pos):

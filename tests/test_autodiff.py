@@ -1,4 +1,6 @@
+import ast
 import inspect
+import os
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 
 from seqssl import autodiff as ad
 from test_backbone import (REFERENCE_OPS, dot, exp, l2_normalize, log,
-                           matmul, softmax_temp, softplus, sub, tanh, tsum)
+                           matmul, mean_rows, softmax_temp, softplus, sub,
+                           tanh, tsum)
 
 
 class TestMatmul:
@@ -151,7 +154,7 @@ class TestGradcheck:
 
         def f(w):
             m = tanh(ad.add(matmul(ad.Tensor(rng0), w), ad.Tensor(bias)))
-            pooled = ad.mean_rows(m)
+            pooled = mean_rows(m)
             u = l2_normalize(pooled)
             c = dot(u, tgt)
             p = softmax_temp(pooled, 0.5)
@@ -172,7 +175,7 @@ X_CONST = np.linspace(-0.5, 0.5, 12).reshape(4, 3)
 def two_tensor_loss(w, b, act=tanh):
     """Scalar loss of a (3, 2) weight and a (2,) bias through most ops."""
     h = act(ad.add(matmul(ad.Tensor(X_CONST), w), b))
-    pooled = ad.mean_rows(h)
+    pooled = mean_rows(h)
     ce = ad.cross_entropy(softmax_temp(pooled, 0.5), 0)
     spread = log(tsum(exp(ad.scale(pooled, 0.5))))
     return ad.add(sub(ce, spread), softplus(dot(b, b)))
@@ -276,7 +279,7 @@ class TestBitIdentity:
     @settings(max_examples=200, deadline=None)
     @given(x=rows_by_cols)
     def test_mean_rows_is_numpy_mean(self, x):
-        assert np.array_equal(ad.mean_rows(x).data, x.mean(axis=0))
+        assert np.array_equal(mean_rows(x).data, x.mean(axis=0))
 
 
 def _vec(n=3, seed=0):
@@ -292,18 +295,51 @@ OPS = [
     ("add", ad.add, (_vec(), _vec(seed=2))),
     ("add-bias", ad.add, (_mat(), _vec())),
     ("scale", lambda a: ad.scale(a, 0.5), (_vec(),)),
-    ("mean_rows", ad.mean_rows, (_mat(),)),
     ("cross_entropy", lambda a: ad.cross_entropy(a, 1), (_vec(),)),
 ]
 # the public autodiff functions that build tensors but are not ops
 NOT_OPS = {"as_tensor", "parameter", "gradcheck", "gradcheck_params"}
 
 
+def public_ops():
+    return {name for name, f in vars(ad).items()
+            if inspect.isfunction(f) and f.__module__ == ad.__name__
+            and not name.startswith("_")} - NOT_OPS
+
+
 def test_ops_names_every_public_op():
-    public = {name for name, f in vars(ad).items()
-              if inspect.isfunction(f) and f.__module__ == ad.__name__
-              and not name.startswith("_")}
-    assert {name.split("-")[0] for name, _, _ in OPS} == public - NOT_OPS
+    assert {name.split("-")[0] for name, _, _ in OPS} == public_ops()
+
+
+def test_every_public_op_has_a_caller_in_the_package():
+    # an op that only the tests call belongs with the reference ops in
+    # tests/test_backbone.py; a caller is a call of the op through a name
+    # bound to the autodiff module or imported from it
+    pkg = os.path.dirname(ad.__file__)
+    called = set()
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py") or name == "autodiff.py":
+            continue
+        with open(os.path.join(pkg, name)) as f:
+            tree = ast.parse(f.read())
+        modules, direct = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None and alias.name == "autodiff":
+                        modules.add(alias.asname or alias.name)
+                    elif node.module == "autodiff":
+                        direct.add(alias.asname or alias.name)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                    and f.value.id in modules):
+                called.add(f.attr)
+            elif isinstance(f, ast.Name) and f.id in direct:
+                called.add(f.id)
+    assert public_ops() - called == set()
 
 
 class TestConstantsRecordNothing:

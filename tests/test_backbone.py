@@ -16,7 +16,7 @@ from seqssl.synthgen import DatasetConfig, SynthDataset
 DIMS = bb.ModelDims(d_in=4, d_h=6, d_e=4, d_k=5, n_classes=3, clip_len=4,
                     n_scales=2)
 # a clip length that is not a power of two, so that where a division by it
-# sits shows in the rounding, and three temporal heads on one token tensor
+# sits shows in the rounding, and three temporal heads on one pooled feature
 ODD_DIMS = bb.ModelDims(d_in=3, d_h=7, d_e=5, d_k=6, n_classes=3, clip_len=5,
                         n_scales=3)
 
@@ -35,20 +35,20 @@ class TestEncode:
         # through zero weights give exactly zero tokens
         params = make_params()
         enc = bb.encode(params, make_clip(np.zeros((4, 4))))
-        assert np.array_equal(enc.tokens.data, np.zeros((4, 6)))
+        assert np.array_equal(enc.tokens, np.zeros((4, 6)))
 
     def test_identical_frames_identical_rows(self):
         params = make_params(1)
         frame = np.array([0.3, -0.2, 0.5, 0.1])
         enc = bb.encode(params, make_clip(np.tile(frame, (4, 1))))
         for t in range(1, 4):
-            np.testing.assert_allclose(enc.tokens.data[t], enc.tokens.data[0],
+            np.testing.assert_allclose(enc.tokens[t], enc.tokens[0],
                                        atol=1e-15)
 
     def test_pooled_is_column_mean(self):
         params = make_params(2)
         enc = bb.encode(params, make_clip(np.random.default_rng(5).normal(size=(4, 4))))
-        np.testing.assert_allclose(enc.pooled.data, enc.tokens.data.mean(axis=0),
+        np.testing.assert_allclose(enc.pooled.data, enc.tokens.mean(axis=0),
                                    atol=1e-12)
 
     def test_time_reversal_changes_tokens(self):
@@ -56,7 +56,7 @@ class TestEncode:
         frames = np.random.default_rng(6).normal(size=(4, 4))
         fwd = bb.encode(params, make_clip(frames))
         rev = bb.encode(params, make_clip(frames[::-1]))
-        assert not np.allclose(fwd.tokens.data, rev.tokens.data)
+        assert not np.allclose(fwd.tokens, rev.tokens)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError,
@@ -68,7 +68,7 @@ class TestEncode:
         frames = np.random.default_rng(7).normal(size=(4, 4))
         e1 = bb.encode(params, make_clip(frames))
         e2 = bb.encode(params, make_clip(frames))
-        assert np.array_equal(e1.tokens.data, e2.tokens.data)
+        assert np.array_equal(e1.tokens, e2.tokens)
 
 
 def reference_encode(params, frames):
@@ -200,6 +200,21 @@ def log(a):
     return ad._node(np.log(a.data), (a,), bwd)
 
 
+def mean_rows(a):
+    """Mean over axis 0 of a 2-D tensor (temporal pooling)."""
+    a = ad.as_tensor(a)
+    if a.data.ndim != 2:
+        raise ValueError(f"mean_rows expects 2-D, got {a.shape}")
+    t = a.data.shape[0]
+
+    def bwd(g):
+        # += in _accum broadcasts the row gradient over the t rows
+        a._accum(g / t)
+
+    # np.mean's own sum and division, without its Python wrapper
+    return ad._node(np.add.reduce(a.data, axis=0) / t, (a,), bwd)
+
+
 def softmax_temp(logits, tau):
     """Temperature softmax over a 1-D tensor; subtract-max stabilized."""
     logits = ad.as_tensor(logits)
@@ -223,6 +238,7 @@ REFERENCE_OPS = [("tanh", tanh, (_VEC,)), ("softplus", softplus, (_VEC,)),
                  ("matmul-2d", matmul, (_MAT, _MAT32)),
                  ("matmul-1d", matmul, (_MAT, _VEC)),
                  ("exp", exp, (_VEC,)), ("log", log, (_VEC,)),
+                 ("mean_rows", mean_rows, (_MAT,)),
                  ("softmax_temp", lambda a: softmax_temp(a, 0.5), (_VEC,))]
 
 
@@ -251,13 +267,13 @@ class TestReferenceOps:
 
 def reference_tape_encode(params, frames):
     """encode as the op-by-op tape built it before the encoder became one
-    node: ten nodes per clip."""
+    node: eleven nodes per clip, the last of them the pooled feature."""
     p = params.params
     h = tanh(ad.add(matmul(ad.Tensor(frames), p["enc.W1"]), p["enc.b1"]))
     m = p["enc.M"]
     mix = ad.add(sub(m, matmul(m, params.unif)), params.unif)
     tokens = sub(softplus(matmul(mix, h)), params.shift)
-    return bb.EncodedClip(tokens=tokens, pooled=ad.mean_rows(tokens))
+    return bb.EncodedClip(tokens=tokens.data, pooled=mean_rows(tokens))
 
 
 def reference_tape_classify(params, enc):
@@ -275,11 +291,11 @@ def reference_tape_spatial_embed(params, enc):
         ad.add(matmul(p["spat.W"], enc.pooled), p["spat.b"]))
 
 
-def reference_tape_temporal_embed(params, scale_index, tokens):
-    """temporal_embed as the op-by-op tape built it: mean_rows, matmul,
-    add."""
+def reference_tape_temporal_embed(params, scale_index, pooled):
+    """temporal_embed as the op-by-op tape built it on the pooled feature:
+    matmul, add."""
     p = params.params
-    return ad.add(matmul(p[f"temp{scale_index}.W"], ad.mean_rows(tokens)),
+    return ad.add(matmul(p[f"temp{scale_index}.W"], pooled),
                   p[f"temp{scale_index}.b"])
 
 
@@ -347,7 +363,7 @@ class TestEncodeBitIdentity:
             frames = rng.normal(size=(dims.clip_len, dims.d_in))
             enc = bb.encode(params, make_clip(frames))
             tokens, pooled = reference_encode(params, frames)
-            assert np.array_equal(enc.tokens.data, tokens)
+            assert np.array_equal(enc.tokens, tokens)
             assert np.array_equal(enc.pooled.data, pooled)
 
     @pytest.mark.parametrize("make_dims", [lambda: DIMS, default_dims],
@@ -355,8 +371,8 @@ class TestEncodeBitIdentity:
     def test_gradients_match_reference_tape(self, make_dims):
         # three clips share the parameters, so the test also sees the order
         # in which the clips' contributions reach each gradient; the loss
-        # reads tokens through a temporal head and pooled through the
-        # classifier and the spatial head
+        # reads pooled through a temporal head, the classifier and the
+        # spatial head
         dims = make_dims()
         rng = np.random.default_rng(11)
         clips = [rng.normal(size=(dims.clip_len, dims.d_in)) for _ in range(3)]
@@ -372,7 +388,7 @@ class TestEncodeBitIdentity:
                     ad.cross_entropy(cls_fn(s, enc), i % dims.n_classes),
                     dot(bb.spatial_embed(s, enc), ad.Tensor(c_spat)),
                     dot(bb.temporal_embed(s, 1 + i % dims.n_scales,
-                                             enc.tokens), ad.Tensor(c_temp))]
+                                          enc.pooled), ad.Tensor(c_temp))]
             loss = terms[0]
             for t in terms[1:]:
                 loss = ad.add(loss, t)
@@ -391,12 +407,13 @@ class TestEncodeBitIdentity:
         clip = make_clip(np.random.default_rng(0).normal(size=(4, 4)))
         enc = bb.encode(s, clip)
         leaves = set(s.params.values())
-        assert set(enc.tokens._parents) <= leaves
-        assert enc.pooled._parents == (enc.tokens,)
-        assert tape_nodes(enc.pooled) == 2
+        assert isinstance(enc.tokens, np.ndarray)
+        assert enc.pooled._parents == tuple(
+            s.params[k] for k in ("enc.W1", "enc.b1", "enc.M"))
+        assert tape_nodes(enc.pooled) == 1
         probs = bb.classify(s, enc)
         assert set(probs._parents) <= leaves | {enc.pooled}
-        assert tape_nodes(probs) == 3
+        assert tape_nodes(probs) == 2
         # the loss-side heads: a student call adds one node to the tape
         rng = np.random.default_rng(1)
         target = rng.normal(size=DIMS.d_k)
@@ -409,9 +426,9 @@ class TestEncodeBitIdentity:
         anchor = bb.spatial_embed(s, enc)
         assert set(anchor._parents) <= leaves | {enc.pooled}
         assert tape_nodes(anchor) == tape_nodes(enc.pooled) + 1
-        logits = bb.temporal_embed(s, 1, enc.tokens)
-        assert set(logits._parents) <= leaves | {enc.tokens}
-        assert tape_nodes(logits) == tape_nodes(enc.tokens) + 1
+        logits = bb.temporal_embed(s, 1, enc.pooled)
+        assert set(logits._parents) <= leaves | {enc.pooled}
+        assert tape_nodes(logits) == tape_nodes(enc.pooled) + 1
         align = mtl.alignment_loss(logits, target, 0.1, 0.04)
         assert align._parents == (logits,)
         assert tape_nodes(align) == tape_nodes(logits) + 1
@@ -423,8 +440,8 @@ class TestEncodeBitIdentity:
         t = s.copy_as_teacher()
         enc_t = bb.encode(t, clip)
         anchor_t = bb.spatial_embed(t, enc_t)
-        logits_t = bb.temporal_embed(t, 1, enc_t.tokens)
-        for node in (enc_t.tokens, enc_t.pooled, bb.classify(t, enc_t),
+        logits_t = bb.temporal_embed(t, 1, enc_t.pooled)
+        for node in (enc_t.pooled, bb.classify(t, enc_t),
                      anchor_t, logits_t,
                      mtl.alignment_loss(logits_t, target, 0.1, 0.04),
                      acl.acl_loss(anchor_t, sel, 0.07),
@@ -459,10 +476,10 @@ class TestLossHeadsBitIdentity:
                              ids=["small", "odd", "default"])
     def test_values_and_gradients_match_reference_tape(self, make_dims,
                                                        n_neg):
-        # three clips share the parameters; each clip's tokens are read by
-        # every temporal head, its pooled feature by the classifier and the
-        # spatial head, and its anchor gets gradient from the positives and,
-        # unless there are none, from the negatives
+        # three clips share the parameters; each clip's pooled feature is
+        # read by every temporal head, the classifier and the spatial head,
+        # and its anchor gets gradient from the positives and, unless there
+        # are none, from the negatives
         dims = make_dims()
         rng = np.random.default_rng(12 + n_neg)
 
@@ -493,7 +510,7 @@ class TestLossHeadsBitIdentity:
                           ad.cross_entropy(bb.classify(s, enc),
                                            i % dims.n_classes)]
                 for n, target in enumerate(targets[i], start=1):
-                    logits = temporal(s, n, enc.tokens)
+                    logits = temporal(s, n, enc.pooled)
                     terms += [logits, align(logits, target, tr.TAU_S,
                                             tr.TAU_T)]
             loss = terms[1]
@@ -569,7 +586,7 @@ class TestHeads:
         params = make_params(2)
         enc = bb.encode(params, make_clip(np.random.default_rng(2).normal(size=(4, 4))))
         e1 = bb.spatial_embed(params, enc).data
-        e2 = bb.spatial_embed(params, bb.encode(params, make_clip(enc.tokens.data[:, :4]))).data
+        e2 = bb.spatial_embed(params, bb.encode(params, make_clip(enc.tokens[:, :4]))).data
         assert abs(np.linalg.norm(e1) - 1.0) < 1e-9
         same = bb.spatial_embed(params, enc).data
         assert np.array_equal(e1, same)
@@ -578,20 +595,20 @@ class TestHeads:
     def test_temporal_embed_zero_tokens(self):
         params = make_params(3)
         params.params["temp1.b"].data[:] = 0.0
-        logits = bb.temporal_embed(params, 1, ad.Tensor(np.zeros((4, 6))))
+        logits = bb.temporal_embed(params, 1, ad.Tensor(np.zeros(6)))
         assert np.array_equal(logits.data, np.zeros(5))
 
     def test_temporal_heads_distinct(self):
         params = make_params(4)
-        tokens = ad.Tensor(np.random.default_rng(3).normal(size=(4, 6)))
-        z1 = bb.temporal_embed(params, 1, tokens).data
-        z2 = bb.temporal_embed(params, 2, tokens).data
+        pooled = ad.Tensor(np.random.default_rng(3).normal(size=6))
+        z1 = bb.temporal_embed(params, 1, pooled).data
+        z2 = bb.temporal_embed(params, 2, pooled).data
         assert not np.allclose(z1, z2)
 
     def test_scale_out_of_range(self):
         params = make_params()
         with pytest.raises(IndexError, match=r"scale 3 outside 1\.\."):
-            bb.temporal_embed(params, 3, ad.Tensor(np.zeros((4, 6))))
+            bb.temporal_embed(params, 3, ad.Tensor(np.zeros(6)))
 
 
 class TestEmaUpdate:

@@ -203,7 +203,7 @@ class TestMtlLoss:
         weak, ss = self._clips(0)
         targets = mtl.teacher_scale_logits(teacher, weak[:2])
         total = mtl.mtl_loss_from_clips(ss, student, targets, 0.1, 0.04)
-        z_q = bb.temporal_embed(student, 1, bb.encode(student, ss).tokens)
+        z_q = bb.temporal_embed(student, 1, bb.encode(student, ss).pooled)
         scale_1 = mtl.alignment_loss(z_q, targets[0], 0.1, 0.04)
         assert total.item() == pytest.approx(scale_1.item(), abs=1e-12)
 
@@ -216,16 +216,16 @@ class TestMtlLoss:
         total = mtl.mtl_loss_from_clips(clip, student, targets, 0.1, 0.1)
         # every long clip is the short one, so each scale calibrates the
         # teacher's tokens against themselves
-        q = bb.encode(teacher, clip).tokens.data
+        q = bb.encode(teacher, clip).tokens
         att = mtl.calibrate(q, q).attention
         assert float(att.mean()) == pytest.approx(1.0, abs=1e-12)
-        tokens = bb.encode(student, clip).tokens
+        pooled = bb.encode(student, clip).pooled
         per_scale = []
         for n, target in enumerate(targets, start=1):
-            loss_n = mtl.alignment_loss(bb.temporal_embed(student, n, tokens),
+            loss_n = mtl.alignment_loss(bb.temporal_embed(student, n, pooled),
                                         target, 0.1, 0.1).item()
             zk = bb.temporal_embed(teacher, n,
-                                   bb.encode(teacher, clip).tokens).data
+                                   bb.encode(teacher, clip).pooled).data
             p = np.exp(zk / 0.1 - np.max(zk / 0.1))
             p /= p.sum()
             entropy = -np.sum(p * np.log(p))

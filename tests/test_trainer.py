@@ -383,11 +383,12 @@ class TestMtlCenters:
         for n in range(1, cfg.n_scales + 1):
             logits = []
             for it in plan.unlabeled:
-                q = bb.encode(state.teacher, it.weak[0]).tokens.data
-                k = bb.encode(state.teacher, it.weak[n]).tokens.data
+                q = bb.encode(state.teacher, it.weak[0]).tokens
+                k = bb.encode(state.teacher, it.weak[n]).tokens
                 calib = mtl.calibrate(q, k)
                 logits.append(bb.temporal_embed(
-                    state.teacher, n, calib.calibrated_tokens).data)
+                    state.teacher, n,
+                    calib.calibrated_tokens.mean(axis=0)).data)
             want = (tr.CENTER_MOMENTUM * old[n - 1]
                     + (1 - tr.CENTER_MOMENTUM) * np.mean(logits, axis=0))
             np.testing.assert_allclose(plan.new_mtl_centers[n - 1], want,
@@ -413,10 +414,10 @@ class TestMtlCenters:
         def mean_alignment(centers):
             per_item = []
             for it in plan.unlabeled:
-                tokens = bb.encode(state.student, it.strong_short).tokens
+                pooled = bb.encode(state.student, it.strong_short).pooled
                 logits = mtl.teacher_scale_logits(state.teacher, it.weak)
                 per_item.append(np.mean([mtl.alignment_loss(
-                    bb.temporal_embed(state.student, n, tokens), z - c,
+                    bb.temporal_embed(state.student, n, pooled), z - c,
                     tr.TAU_S, tr.TAU_T).item()
                     for n, (z, c) in enumerate(zip(logits, centers),
                                                start=1)]))
