@@ -30,14 +30,14 @@ k_same = mtl.calibrate(q, q)
 print(f"self-calibration attention  : {k_same.attention.round(6)}")
 
 # the views are drawn in training's order (weak short, strong short, then
-# the weak longs); the trainer centres the teacher logits by the state's
-# running centres (zero at the start of training) and the loss aligns the
-# student to those targets
+# the weak longs); the teacher's logits come for a batch of items, here one
+# (row 0), the trainer centres them by the state's running centres (zero at
+# the start of training) and the loss aligns the student to those targets
 weak = [weak_augment(clips[0], rng, frames)]
 strong_short = strong_augment(clips[0], rng, frames)
 weak += [weak_augment(c, rng, frames) for c in clips[1:]]
-targets = [z - c for z, c in zip(mtl.teacher_scale_logits(state.teacher, weak),
-                                 state.mtl_centers)]
+targets = [z[0] - c for z, c in zip(
+    mtl.teacher_scale_logits(state.teacher, [weak]), state.mtl_centers)]
 loss = mtl.mtl_loss_from_clips(strong_short, state.student, targets, tr.TAU_S,
                                tr.TAU_T)
 print(f"alignment loss (mean over scales): {loss.item():.4f}")

@@ -28,8 +28,8 @@ meets them as it met the chain's, so the gradients are bit-identical. The
 tests keep those chains as the reference that the fused nodes are checked
 against (``tests/test_backbone.py``), together with the ops that only the
 chains use: ``matmul``, ``exp``, ``log``, ``softmax_temp``, ``tanh``,
-``softplus``, ``sub``, ``dot``, ``tsum``, ``l2_normalize`` and
-``mean_rows``.
+``softplus``, ``sub``, ``dot``, ``tsum``, ``l2_normalize``, ``mean_rows``
+and ``add_bias`` (a 1-D bias added over the rows of a 2-D tensor).
 """
 
 from __future__ import annotations
@@ -121,23 +121,18 @@ def _node(data, parents, backward_fn):
 
 
 def add(a, b):
-    """Elementwise sum; a 1-D bias may be broadcast over the rows of a 2-D tensor."""
+    """Elementwise sum of two tensors of the same shape."""
     a, b = as_tensor(a), as_tensor(b)
     sa, sb = a.data.shape, b.data.shape
-    if sa == sb:
-        def bwd(g):
-            if a.requires_grad:
-                a._accum(g)
-            if b.requires_grad:
-                b._accum(g)
-    elif len(sa) == 2 and len(sb) == 1 and sa[1] == sb[0]:
-        def bwd(g):
-            if a.requires_grad:
-                a._accum(g)
-            if b.requires_grad:
-                b._accum(g.sum(axis=0))
-    else:
+    if sa != sb:
         raise ValueError(f"add: {sa} vs {sb}")
+
+    def bwd(g):
+        if a.requires_grad:
+            a._accum(g)
+        if b.requires_grad:
+            b._accum(g)
+
     return _node(a.data + b.data, (a, b), bwd)
 
 

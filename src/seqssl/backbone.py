@@ -204,13 +204,24 @@ def spatial_embed(params: ParamSet, enc: EncodedClip) -> ad.Tensor:
 def temporal_embed(params: ParamSet, scale_index: int, pooled) -> ad.Tensor:
     """Logits of the scale-specific temporal head on a pooled (d_h,) clip
     feature (a Tensor or an array), one tape node whose backward replays the
-    op-by-op tape (matmul, add): b, W, pooled."""
+    op-by-op tape (matmul, add): b, W, pooled.
+
+    A constant stack of features, such as the teacher's (B, d_h) targets,
+    gives a (B, d_k) stack of logits, each row with the same bits as its
+    feature alone: the head is a stacked matrix-vector product, not one
+    matrix product over the stack, whose rounding differs. Only a single
+    feature may reach the tape.
+    """
     if not 1 <= scale_index <= params.dims.n_scales:
         raise IndexError(
             f"scale {scale_index} outside 1..{params.dims.n_scales}")
     pooled = ad.as_tensor(pooled)
     w = params.params[f"temp{scale_index}.W"]
     b = params.params[f"temp{scale_index}.b"]
+    if pooled.data.ndim != 1 and (w.requires_grad or b.requires_grad
+                                  or pooled.requires_grad):
+        raise ValueError(f"temporal_embed: a {pooled.shape} stack of "
+                         "features on the tape")
 
     def bwd(g):
         if b.requires_grad:
@@ -220,8 +231,9 @@ def temporal_embed(params: ParamSet, scale_index: int, pooled) -> ad.Tensor:
         if pooled.requires_grad:
             pooled._accum(w.data.T @ g)
 
+    logits = np.matmul(w.data, pooled.data[..., None])[..., 0] + b.data
     # the search meets b, pooled and W in the op-by-op chain's order
-    return ad._node(w.data @ pooled.data + b.data, (w, pooled, b), bwd)
+    return ad._node(logits, (w, pooled, b), bwd)
 
 
 def ema_update(teacher: ParamSet, student: ParamSet, m: float) -> None:

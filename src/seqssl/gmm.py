@@ -38,11 +38,19 @@ class GmmFit:
     reliable_component: int = 0  # index of the larger-mean component
 
 
-def _log_joint(sq_dist, fit_vars, fit_weights):
-    # log w_k + log N(x | mu_k, var_k) from sq_dist = (x - mu_k) ** 2, by
-    # broadcasting
-    return np.log(fit_weights) - 0.5 * (np.log(2.0 * np.pi * fit_vars)
-                                        + sq_dist / fit_vars)
+def _component_terms(variances, weights):
+    """log w_k, log(2 pi var_k) and var_k on a new first axis: the terms of
+    _log_joint that depend only on the component, taken before they are
+    spread over any points."""
+    return np.array([np.log(weights), np.log(2.0 * np.pi * variances),
+                     variances])
+
+
+def _log_joint(sq_dist, terms):
+    # log w_k + log N(x | mu_k, var_k) from sq_dist = (x - mu_k) ** 2 and
+    # _component_terms, by broadcasting
+    log_w, log_2pi_var, var = terms
+    return log_w - 0.5 * (log_2pi_var + sq_dist / var)
 
 
 def fit_gmm(points) -> GmmFit:
@@ -99,8 +107,9 @@ def fit_gmm_many(sets) -> list:
     starts = np.cumsum(sizes) - sizes
     sq = (x - np.repeat(means, sizes, axis=1)) ** 2            # (2, P)
     for _ in range(MAX_ITERS):
-        lj = _log_joint(sq, np.repeat(variances, sizes, axis=1),
-                        np.repeat(weights, sizes, axis=1))
+        # each set's terms spread over its points in one repeat
+        lj = _log_joint(sq, _component_terms(variances, weights)
+                        .repeat(sizes, axis=-1))
         log_norm = np.logaddexp(lj[0], lj[1])
         ll = np.add.reduceat(log_norm, starts)
         done = []
@@ -156,7 +165,7 @@ def reliability_many(fit: GmmFit, xs: np.ndarray) -> np.ndarray:
     """Posterior probability that each of the points xs belongs to the
     reliable component."""
     sq = (np.asarray(xs, dtype=np.float64)[..., None] - fit.means) ** 2
-    lj = _log_joint(sq, fit.variances, fit.weights)
+    lj = _log_joint(sq, _component_terms(fit.variances, fit.weights))
     m = lj.max(axis=-1, keepdims=True)
     p = np.exp(lj - m)
     p /= p.sum(axis=-1, keepdims=True)
@@ -166,6 +175,6 @@ def reliability_many(fit: GmmFit, xs: np.ndarray) -> np.ndarray:
 def log_likelihood(fit: GmmFit, points) -> float:
     """Total log-likelihood of points under a fit (used by verification)."""
     sq = (np.asarray(points, dtype=np.float64)[:, None] - fit.means) ** 2
-    lj = _log_joint(sq, fit.variances, fit.weights)
+    lj = _log_joint(sq, _component_terms(fit.variances, fit.weights))
     m = lj.max(axis=1, keepdims=True)
     return float((m[:, 0] + np.log(np.exp(lj - m).sum(axis=1))).sum())

@@ -16,8 +16,8 @@ from .synthgen import clip_span, extract_clip
 
 @dataclass
 class CalibrationResult:
-    attention: np.ndarray          # (T,)
-    calibrated_tokens: np.ndarray  # (T, d_h)
+    attention: np.ndarray          # (..., T)
+    calibrated_tokens: np.ndarray  # (..., T, d_h)
 
 
 def sample_multiscale(video_frames: np.ndarray, strides, clip_len: int,
@@ -42,17 +42,22 @@ def calibrate(query_tokens: np.ndarray,
     orthogonal to the query go to zero, and anti-correlated frames are
     sign-flipped at full weight rather than suppressed (the attention is not
     clamped at zero). Both sides are teacher constants, so this is plain
-    array arithmetic with no tape."""
+    array arithmetic with no tape.
+
+    The tokens are (T, d_h) arrays or stacks of them with leading batch
+    dimensions, such as (B, T, d_h); each pair of the stack gets the same
+    bits as calibrating it alone.
+    """
     q, k = query_tokens, key_tokens
-    if q.ndim != 2 or q.shape != k.shape:
+    if q.ndim < 2 or q.shape != k.shape:
         raise ValueError(f"calibrate: {q.shape} vs {k.shape}")
-    nq = np.linalg.norm(q, axis=1)
-    nk = np.linalg.norm(k, axis=1)
+    nq = np.linalg.norm(q, axis=-1)
+    nk = np.linalg.norm(k, axis=-1)
     if nq.min() < ad.ETA_NORM or nk.min() < ad.ETA_NORM:
         raise ValueError("calibrate on near-zero row")
-    attention = (q * k).sum(axis=1) / (nq * nk)
+    attention = (q * k).sum(axis=-1) / (nq * nk)
     return CalibrationResult(attention=attention,
-                             calibrated_tokens=k * attention[:, None])
+                             calibrated_tokens=k * attention[..., None])
 
 
 def alignment_loss(student_logits, teacher_logits, tau_s: float,
@@ -79,24 +84,27 @@ def alignment_loss(student_logits, teacher_logits, tau_s: float,
     return ad._node(np.dot(p_k, np.log(p_q)) * -1.0, (z_q,), bwd)
 
 
-def teacher_scale_logits(teacher: ParamSet, weak: List[Clip]):
+def teacher_scale_logits(teacher: ParamSet, weak_views: List[List[Clip]]):
     """Uncentred teacher logits of the mean calibrated long-term tokens, one
-    array per long-term scale. ``weak`` holds the weak views, short-term clip
-    first.
+    (B, d_k) array per long-term scale, row i for item i. ``weak_views``
+    holds each of the B items' weak views, short-term clip first.
 
     The calibration query is the teacher's view of the short clip: the whole
     target side stays constant in student parameters, so alignment cannot be
     gamed by steering the attention instead of the representation, and the
-    calibration runs on the teacher's token arrays.
+    calibration runs on the teacher's token arrays. Each scale is calibrated
+    and read through its head once, on the stacked tokens of all B items.
     """
-    q_tokens = encode(teacher, weak[0]).tokens
+    tokens = [[encode(teacher, clip).tokens for clip in weak]
+              for weak in weak_views]
+    q_tokens = np.array([views[0] for views in tokens])
     out = []
-    for n, long_clip in enumerate(weak[1:], start=1):
-        calib = calibrate(q_tokens, encode(teacher, long_clip).tokens)
+    for n in range(1, len(tokens[0])):
+        calib = calibrate(q_tokens, np.array([views[n] for views in tokens]))
         k = calib.calibrated_tokens
-        # the mean with encode's sum and division
+        # the mean over time with encode's sum and division
         out.append(temporal_embed(teacher, n,
-                                  np.add.reduce(k, axis=0) / len(k)).data)
+                                  np.add.reduce(k, axis=1) / k.shape[1]).data)
     return out
 
 

@@ -182,12 +182,15 @@ def clip_span(clip_len: int, stride: int) -> int:
 
 def extract_clip(frames: np.ndarray, start: int, stride: int,
                  clip_len: int) -> Clip:
+    """The clip of clip_len frames at stride from frame start, as a
+    read-only strided view of the video's frames (no copy)."""
     need = clip_span(clip_len, stride)
     if start < 0 or start + need > frames.shape[0]:
         raise ValueError(
             f"start {start}, span {need}, video length {frames.shape[0]}")
-    idx = start + stride * np.arange(clip_len)
-    return Clip(frames=frames[idx], stride=stride, start=start)
+    view = frames[start:start + need:stride]
+    view.flags.writeable = False
+    return Clip(frames=view, stride=stride, start=start)
 
 
 def weak_augment(clip: Clip, rng: np.random.Generator,

@@ -257,12 +257,13 @@ def prepare_step_plan(state: TrainerState, labeled_recs, unlabeled_recs,
         new_centers = list(centers)
         # the centers track the very logits the MTL targets centre: the
         # teacher head on the *calibrated* long tokens
-        per_item = [teacher_scale_logits(state.teacher, item.weak)
-                    for item in unlabeled_items]
-        for n, batch in enumerate(zip(*per_item)):
-            new_centers[n] = (
-                CENTER_MOMENTUM * centers[n]
-                + (1.0 - CENTER_MOMENTUM) * np.mean(batch, axis=0))
+        if unlabeled_items:
+            logits = teacher_scale_logits(
+                state.teacher, [item.weak for item in unlabeled_items])
+            for n, batch in enumerate(logits):
+                new_centers[n] = (
+                    CENTER_MOMENTUM * centers[n]
+                    + (1.0 - CENTER_MOMENTUM) * np.mean(batch, axis=0))
 
     return StepPlan(labeled=labeled_items, unlabeled=unlabeled_items,
                     mtl_centers=centers, protos=protos,
@@ -292,7 +293,13 @@ def compute_losses(student: bb.ParamSet, teacher: bb.ParamSet, plan: StepPlan,
     loss_acl = zero
     n_anchors = 0
     mtl_terms = zero
-    for item in plan.unlabeled:
+    if cfg.use_mtl and plan.unlabeled:
+        # each scale's centred targets, row i for item i
+        targets = [z - c for z, c in zip(
+            teacher_scale_logits(teacher,
+                                 [item.weak for item in plan.unlabeled]),
+            plan.mtl_centers)]
+    for i, item in enumerate(plan.unlabeled):
         enc_strong = bb.encode(student, item.strong_short)
         if item.gate:
             probs = bb.classify(student, enc_strong)
@@ -304,10 +311,9 @@ def compute_losses(student: bb.ParamSet, teacher: bb.ParamSet, plan: StepPlan,
                               acl_mod.acl_loss(anchor, item.selection, TAU))
             n_anchors += 1
         if cfg.use_mtl:
-            targets = [z - c for z, c in zip(
-                teacher_scale_logits(teacher, item.weak), plan.mtl_centers)]
             mtl_terms = ad.add(mtl_terms, mtl_loss_from_clips(
-                item.strong_short, student, targets, TAU_S, TAU_T))
+                item.strong_short, student, [z[i] for z in targets], TAU_S,
+                TAU_T))
 
     n_u = max(1, len(plan.unlabeled))
     loss_u = ad.scale(loss_u, 1.0 / n_u)

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import os
+import re
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -9,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqssl import autodiff as ad
-from test_backbone import (REFERENCE_OPS, dot, exp, l2_normalize, log,
-                           matmul, mean_rows, softmax_temp, softplus, sub,
-                           tanh, tsum)
+from test_backbone import (REFERENCE_OPS, add_bias, dot, exp, l2_normalize,
+                           log, matmul, mean_rows, softmax_temp, softplus,
+                           sub, tanh, tsum)
 
 
 class TestMatmul:
@@ -148,12 +149,12 @@ class TestGradcheck:
         assert err == 0.0
 
     def test_every_op_at_random_points(self):
-        # composite touching matmul, add, tanh, exp, log, mean_rows,
-        # l2_normalize, dot, softmax_temp, cross_entropy
+        # composite touching matmul, add_bias, add, tanh, exp, log,
+        # mean_rows, l2_normalize, dot, softmax_temp, cross_entropy
         tgt = ad.Tensor(np.random.default_rng(11).normal(size=3))
 
         def f(w):
-            m = tanh(ad.add(matmul(ad.Tensor(rng0), w), ad.Tensor(bias)))
+            m = tanh(add_bias(matmul(ad.Tensor(rng0), w), ad.Tensor(bias)))
             pooled = mean_rows(m)
             u = l2_normalize(pooled)
             c = dot(u, tgt)
@@ -174,7 +175,7 @@ X_CONST = np.linspace(-0.5, 0.5, 12).reshape(4, 3)
 
 def two_tensor_loss(w, b, act=tanh):
     """Scalar loss of a (3, 2) weight and a (2,) bias through most ops."""
-    h = act(ad.add(matmul(ad.Tensor(X_CONST), w), b))
+    h = act(add_bias(matmul(ad.Tensor(X_CONST), w), b))
     pooled = mean_rows(h)
     ce = ad.cross_entropy(softmax_temp(pooled, 0.5), 0)
     spread = log(tsum(exp(ad.scale(pooled, 0.5))))
@@ -286,14 +287,18 @@ def _vec(n=3, seed=0):
     return np.random.default_rng(seed).uniform(0.5, 1.5, size=n)
 
 
-def _mat(r=4, c=3, seed=1):
-    return np.random.default_rng(seed).uniform(0.5, 1.5, size=(r, c))
+@pytest.mark.parametrize("sa,sb", [((4, 3), (3,)), ((3,), (4, 3)),
+                                   ((3,), ()), ((2, 3), (3, 2))])
+def test_add_takes_equal_shapes_only(sa, sb):
+    # a bias over rows is the tests' add_bias; add broadcasts nothing
+    with pytest.raises(ValueError,
+                       match=re.escape(f"add: {sa} vs {sb}")):
+        ad.add(ad.parameter(np.ones(sa)), ad.Tensor(np.ones(sb)))
 
 
 # every op of the tape, as (name, op, input arrays)
 OPS = [
     ("add", ad.add, (_vec(), _vec(seed=2))),
-    ("add-bias", ad.add, (_mat(), _vec())),
     ("scale", lambda a: ad.scale(a, 0.5), (_vec(),)),
     ("cross_entropy", lambda a: ad.cross_entropy(a, 1), (_vec(),)),
 ]

@@ -106,6 +106,22 @@ def softplus(a):
     return ad._node(y, (a,), bwd)
 
 
+def add_bias(a, b):
+    """A 1-D bias b added over the rows of a 2-D tensor a."""
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    sa, sb = a.data.shape, b.data.shape
+    if len(sa) != 2 or len(sb) != 1 or sa[1] != sb[0]:
+        raise ValueError(f"add_bias: {sa} vs {sb}")
+
+    def bwd(g):
+        if a.requires_grad:
+            a._accum(g)
+        if b.requires_grad:
+            b._accum(g.sum(axis=0))
+
+    return ad._node(a.data + b.data, (a, b), bwd)
+
+
 def sub(a, b):
     a, b = ad.as_tensor(a), ad.as_tensor(b)
     if a.data.shape != b.data.shape:
@@ -231,7 +247,8 @@ _VEC = np.random.default_rng(0).uniform(0.5, 1.5, size=3)
 _VEC2 = np.random.default_rng(2).uniform(0.5, 1.5, size=3)
 _MAT = np.random.default_rng(1).uniform(0.5, 1.5, size=(4, 3))
 _MAT32 = np.random.default_rng(1).uniform(0.5, 1.5, size=(3, 2))
-REFERENCE_OPS = [("tanh", tanh, (_VEC,)), ("softplus", softplus, (_VEC,)),
+REFERENCE_OPS = [("add-bias", add_bias, (_MAT, _VEC)),
+                 ("tanh", tanh, (_VEC,)), ("softplus", softplus, (_VEC,)),
                  ("sub", sub, (_VEC, _VEC2)), ("dot", dot, (_VEC, _VEC2)),
                  ("tsum", tsum, (_VEC,)),
                  ("l2_normalize", l2_normalize, (_VEC,)),
@@ -269,7 +286,7 @@ def reference_tape_encode(params, frames):
     """encode as the op-by-op tape built it before the encoder became one
     node: eleven nodes per clip, the last of them the pooled feature."""
     p = params.params
-    h = tanh(ad.add(matmul(ad.Tensor(frames), p["enc.W1"]), p["enc.b1"]))
+    h = tanh(add_bias(matmul(ad.Tensor(frames), p["enc.W1"]), p["enc.b1"]))
     m = p["enc.M"]
     mix = ad.add(sub(m, matmul(m, params.unif)), params.unif)
     tokens = sub(softplus(matmul(mix, h)), params.shift)
@@ -557,8 +574,17 @@ class TestLossHeadsBitIdentity:
 
         got_values, got = run()
         spatial, temporal, align, contrast = REFERENCE_HEADS
+
+        def temporal_rows(params, n, pooled):
+            # the teacher's targets read a (B, d_h) stack of constant
+            # features: the reference chain runs on each row
+            if isinstance(pooled, np.ndarray) and pooled.ndim == 2:
+                return ad.Tensor(np.stack(
+                    [temporal(params, n, row).data for row in pooled]))
+            return temporal(params, n, pooled)
+
         monkeypatch.setattr(bb, "spatial_embed", spatial)
-        monkeypatch.setattr(mtl, "temporal_embed", temporal)
+        monkeypatch.setattr(mtl, "temporal_embed", temporal_rows)
         monkeypatch.setattr(mtl, "alignment_loss", align)
         monkeypatch.setattr(acl, "acl_loss", contrast)
         want_values, want = run()
@@ -609,6 +635,29 @@ class TestHeads:
         params = make_params()
         with pytest.raises(IndexError, match=r"scale 3 outside 1\.\."):
             bb.temporal_embed(params, 3, ad.Tensor(np.zeros(6)))
+
+    @pytest.mark.parametrize("make_dims", [lambda: ODD_DIMS, default_dims],
+                             ids=["odd", "default"])
+    def test_constant_stack_rows_equal_single_features(self, make_dims):
+        dims = make_dims()
+        teacher = bb.ParamSet.init(dims, np.random.default_rng(5), False)
+        stack = np.random.default_rng(6).normal(size=(5, dims.d_h))
+        for n in range(1, dims.n_scales + 1):
+            logits = bb.temporal_embed(teacher, n, stack)
+            assert logits.shape == (5, dims.d_k)
+            assert not logits.requires_grad
+            for i, row in enumerate(stack):
+                assert np.array_equal(
+                    logits.data[i], bb.temporal_embed(teacher, n, row).data)
+
+    def test_stack_on_the_tape_raises(self):
+        stack = np.zeros((3, 6))
+        with pytest.raises(ValueError, match=r"temporal_embed: a \(3, 6\) "
+                                             "stack of features on the tape"):
+            bb.temporal_embed(make_params(), 1, stack)
+        with pytest.raises(ValueError, match="on the tape"):
+            bb.temporal_embed(make_params(trainable=False), 1,
+                              ad.parameter(stack))
 
 
 class TestEmaUpdate:

@@ -4,6 +4,7 @@ import pytest
 from seqssl import autodiff as ad
 from seqssl import backbone as bb
 from seqssl import mtl
+from test_backbone import ODD_DIMS, default_dims
 
 DIMS = bb.ModelDims(d_in=4, d_h=6, d_e=4, d_k=5, n_classes=3, clip_len=4,
                     n_scales=2)
@@ -15,6 +16,11 @@ def make_params(seed=0, trainable=True):
 
 def make_clip(frames, stride=1):
     return bb.Clip(frames=np.asarray(frames, dtype=np.float64), stride=stride)
+
+
+def item_targets(teacher, weak):
+    """The teacher's per-scale logits of one item: row 0 of a batch of one."""
+    return [z[0] for z in mtl.teacher_scale_logits(teacher, [weak])]
 
 
 class TestSampleMultiscale:
@@ -128,6 +134,103 @@ class TestCalibrate:
             assert abs(ab) <= 1.0 + 1e-12
 
 
+class TestCalibrateStacks:
+    @pytest.mark.parametrize("batch", [1, 3, 5])
+    def test_stack_equals_per_pair_calls(self, batch):
+        rng = np.random.default_rng(10 + batch)
+        q, k = rng.normal(size=(2, batch, 8, 64))
+        res = mtl.calibrate(q, k)
+        assert res.attention.shape == (batch, 8)
+        assert res.calibrated_tokens.shape == (batch, 8, 64)
+        for i in range(batch):
+            one = mtl.calibrate(q[i], k[i])
+            assert np.array_equal(res.attention[i], one.attention)
+            assert np.array_equal(res.calibrated_tokens[i],
+                                  one.calibrated_tokens)
+
+    def test_two_batch_dimensions(self):
+        rng = np.random.default_rng(4)
+        q, k = rng.normal(size=(2, 2, 3, 5, 7))
+        res = mtl.calibrate(q, k)
+        for i, j in np.ndindex(2, 3):
+            one = mtl.calibrate(q[i, j], k[i, j])
+            assert np.array_equal(res.calibrated_tokens[i, j],
+                                  one.calibrated_tokens)
+
+    @pytest.mark.parametrize("side", ["query", "key"])
+    def test_zero_row_in_one_item_raises(self, side):
+        q = np.random.default_rng(3).normal(size=(3, 4, 6))
+        z = q.copy()
+        z[1, 2] = 0.0
+        with pytest.raises(ValueError, match="calibrate on near-zero row"):
+            mtl.calibrate(z, q) if side == "query" else mtl.calibrate(q, z)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError,
+                           match=r"calibrate: \(2, 4, 6\) vs \(3, 4, 6\)"):
+            mtl.calibrate(np.ones((2, 4, 6)), np.ones((3, 4, 6)))
+        with pytest.raises(ValueError,
+                           match=r"calibrate: \(2, 4, 6\) vs \(4, 6\)"):
+            mtl.calibrate(np.ones((2, 4, 6)), np.ones((4, 6)))
+
+
+def reference_teacher_scale_logits(teacher, weak):
+    """One item's uncentred teacher logits per long-term scale, as the
+    single-item chain computes them: encode, calibrate each long clip
+    against the short one, the mean over time with encode's sum and
+    division, the scale's temporal head."""
+    q_tokens = bb.encode(teacher, weak[0]).tokens
+    out = []
+    for n, long_clip in enumerate(weak[1:], start=1):
+        calib = mtl.calibrate(q_tokens, bb.encode(teacher, long_clip).tokens)
+        k = calib.calibrated_tokens
+        out.append(bb.temporal_embed(teacher, n,
+                                     np.add.reduce(k, axis=0) / len(k)).data)
+    return out
+
+
+class TestTeacherScaleLogits:
+    @pytest.mark.parametrize("batch", [1, 3, 5])
+    @pytest.mark.parametrize("make_dims", [default_dims, lambda: ODD_DIMS],
+                             ids=["default", "odd"])
+    def test_rows_equal_the_single_item_chain(self, make_dims, batch):
+        dims = make_dims()
+        student = bb.ParamSet.init(dims, np.random.default_rng(6), True)
+        teacher = student.copy_as_teacher()
+        rng = np.random.default_rng(20 + batch)
+        weak_views = [[make_clip(rng.normal(size=(dims.clip_len, dims.d_in)),
+                                 stride=2 ** s)
+                       for s in range(dims.n_scales + 1)]
+                      for _ in range(batch)]
+        got = mtl.teacher_scale_logits(teacher, weak_views)
+        assert len(got) == dims.n_scales
+        for z in got:
+            assert isinstance(z, np.ndarray)
+            assert z.shape == (batch, dims.d_k)
+        for i, weak in enumerate(weak_views):
+            for z, want in zip(got, reference_teacher_scale_logits(teacher,
+                                                                   weak),
+                               strict=True):
+                assert np.array_equal(z[i], want)
+
+    def test_encodes_every_clip_once(self, monkeypatch):
+        teacher = make_params(1, trainable=False)
+        rng = np.random.default_rng(2)
+        weak_views = [[make_clip(rng.normal(size=(4, 4)), stride=s)
+                       for s in (1, 2, 4)] for _ in range(3)]
+        seen = []
+        real_encode = mtl.encode
+
+        def counting_encode(params, clip):
+            seen.append(clip)
+            return real_encode(params, clip)
+
+        monkeypatch.setattr(mtl, "encode", counting_encode)
+        mtl.teacher_scale_logits(teacher, weak_views)
+        assert sorted(map(id, seen)) == sorted(
+            id(c) for weak in weak_views for c in weak)
+
+
 class TestAlignmentLoss:
     def test_matched_distribution_minimum(self):
         rng = np.random.default_rng(0)
@@ -201,7 +304,7 @@ class TestMtlLoss:
     def test_single_scale_reduction(self):
         student, teacher = make_params(0), make_params(1, trainable=False)
         weak, ss = self._clips(0)
-        targets = mtl.teacher_scale_logits(teacher, weak[:2])
+        targets = item_targets(teacher, weak[:2])
         total = mtl.mtl_loss_from_clips(ss, student, targets, 0.1, 0.04)
         z_q = bb.temporal_embed(student, 1, bb.encode(student, ss).pooled)
         scale_1 = mtl.alignment_loss(z_q, targets[0], 0.1, 0.04)
@@ -212,7 +315,7 @@ class TestMtlLoss:
         teacher = student.copy_as_teacher()
         rng = np.random.default_rng(5)
         clip = make_clip(rng.normal(size=(4, 4)))
-        targets = mtl.teacher_scale_logits(teacher, [clip, clip, clip])
+        targets = item_targets(teacher, [clip, clip, clip])
         total = mtl.mtl_loss_from_clips(clip, student, targets, 0.1, 0.1)
         # every long clip is the short one, so each scale calibrates the
         # teacher's tokens against themselves
@@ -237,7 +340,7 @@ class TestMtlLoss:
         student, teacher = make_params(2), make_params(3, trainable=False)
         weak, ss = self._clips(1)
         student.zero_grad()
-        targets = mtl.teacher_scale_logits(teacher, weak)
+        targets = item_targets(teacher, weak)
         assert all(isinstance(z, np.ndarray) for z in targets)
         total = mtl.mtl_loss_from_clips(ss, student, targets, 0.1, 0.04)
         total.backward()

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from seqssl import autodiff as ad
+from seqssl import backbone as bb
 from seqssl import synthgen as sg
 
 
@@ -72,6 +74,65 @@ class TestConfusablePairs:
     def test_linear_probe_cannot_separate_spatial_pairs(self):
         ds = sg.SynthDataset(small_cfg(per_class=30))
         assert sg.difficulty_check(ds) <= 0.5 + 0.10
+
+
+class TestExtractClip:
+    @pytest.mark.parametrize("start,stride,clip_len",
+                             [(0, 1, 8), (10, 8, 8), (0, 32, 8), (3, 5, 5),
+                              (75, 32, 8)])
+    def test_view_equals_the_gather(self, start, stride, clip_len):
+        frames = sg.SynthDataset(small_cfg()).frames(
+            sg.VideoRecord(0, 0, 0, True))
+        clip = sg.extract_clip(frames, start, stride, clip_len)
+        gather = frames[start + stride * np.arange(clip_len)]
+        assert clip.frames.shape == gather.shape
+        assert np.array_equal(clip.frames, gather)
+        assert (clip.start, clip.stride) == (start, stride)
+        # a view of the video's frames, not a copy
+        assert np.shares_memory(clip.frames, frames)
+
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_view_is_read_only(self, writeable):
+        frames = np.arange(300 * 4, dtype=np.float64).reshape(300, 4)
+        frames.flags.writeable = writeable
+        clip = sg.extract_clip(frames, 2, 3, 8)
+        with pytest.raises(ValueError, match="read-only"):
+            clip.frames[0, 0] = 1.0
+        assert frames.flags.writeable == writeable
+
+    def test_out_of_range_start(self):
+        frames = np.zeros((57, 4))
+        with pytest.raises(ValueError,
+                           match="start 1, span 57, video length 57"):
+            sg.extract_clip(frames, 1, 8, 8)
+        with pytest.raises(ValueError, match="start -1"):
+            sg.extract_clip(frames, -1, 8, 8)
+
+    def test_encode_of_view_equals_encode_of_copy(self):
+        # the strided view reaches the encoder's matrix products as it is;
+        # tokens, the pooled feature and the student gradients must be the
+        # bits of a contiguous copy
+        cfg = small_cfg(d_in=16)
+        frames = sg.SynthDataset(cfg).frames(sg.VideoRecord(0, 1, 3, False))
+        dims = bb.ModelDims(d_in=16, d_h=64, d_e=16, d_k=16, n_classes=8,
+                            clip_len=8, n_scales=2)
+        view = sg.extract_clip(frames, 17, 32, 8)
+        copy = bb.Clip(frames=np.ascontiguousarray(view.frames), stride=32,
+                       start=17)
+        assert not view.frames.flags.c_contiguous
+
+        def run(clip):
+            s = bb.ParamSet.init(dims, np.random.default_rng(0), True)
+            enc = bb.encode(s, clip)
+            ad.cross_entropy(bb.classify(s, enc), 3).backward()
+            return enc, {k: p.grad for k, p in s.params.items()}
+
+        (enc_v, grads_v), (enc_c, grads_c) = run(view), run(copy)
+        assert np.array_equal(enc_v.tokens, enc_c.tokens)
+        assert np.array_equal(enc_v.pooled.data, enc_c.pooled.data)
+        for k in ("enc.W1", "enc.b1", "enc.M", "cls.W", "cls.b"):
+            assert grads_c[k] is not None, k
+            assert np.array_equal(grads_v[k], grads_c[k]), k
 
 
 class TestAugmentations:

@@ -415,7 +415,8 @@ class TestMtlCenters:
             per_item = []
             for it in plan.unlabeled:
                 pooled = bb.encode(state.student, it.strong_short).pooled
-                logits = mtl.teacher_scale_logits(state.teacher, it.weak)
+                logits = [z[0] for z in mtl.teacher_scale_logits(
+                    state.teacher, [it.weak])]
                 per_item.append(np.mean([mtl.alignment_loss(
                     bb.temporal_embed(state.student, n, pooled), z - c,
                     tr.TAU_S, tr.TAU_T).item()
@@ -429,6 +430,73 @@ class TestMtlCenters:
         # the centres matter here, so an uncentred loss would fail above
         uncentred = mean_alignment([np.zeros(cfg.d_k)] * cfg.n_scales)
         assert abs(want - uncentred) > 1e-6
+
+
+class TestTeacherTargetCalls:
+    """The MTL targets are built for the whole unlabeled batch at once:
+    one teacher_scale_logits call for the centre update and one for the
+    losses."""
+
+    def record_calls(self, monkeypatch):
+        calls = []
+        real = tr.teacher_scale_logits
+
+        def recording(teacher, weak_views):
+            calls.append((teacher, weak_views))
+            return real(teacher, weak_views)
+
+        monkeypatch.setattr(tr, "teacher_scale_logits", recording)
+        return calls
+
+    @pytest.mark.parametrize("use_acl", [False, True])
+    def test_two_calls_per_step_with_mtl_on(self, monkeypatch, use_acl):
+        cfg, ds = ablation(use_acl, True)
+        calls = self.record_calls(monkeypatch)
+        state = tr.TrainerState(cfg, ds)
+        rng = np.random.default_rng(0)
+        plan = tr.prepare_step_plan(state, ds.labeled[:2], ds.unlabeled[:3],
+                                    rng)
+
+        def clip_ids(weak_views):
+            return [[id(clip) for clip in weak] for weak in weak_views]
+
+        weak = clip_ids(it.weak for it in plan.unlabeled)
+        assert len(calls) == 1
+        assert calls[0][0] is state.teacher
+        assert clip_ids(calls[0][1]) == weak
+        tr.compute_losses(state.student, state.teacher, plan, cfg)
+        assert len(calls) == 2
+        assert calls[1][0] is state.teacher
+        assert clip_ids(calls[1][1]) == weak
+        for s in range(2):
+            calls.clear()
+            tr.train_step(state, ds.labeled[:2], ds.unlabeled[3*s:3*s+3], 0,
+                          rng)
+            assert [len(views) for _, views in calls] == [cfg.b_u, cfg.b_u]
+
+    @pytest.mark.parametrize("use_acl", [False, True])
+    def test_no_calls_with_mtl_off(self, monkeypatch, use_acl):
+        cfg, ds = ablation(use_acl, False)
+        calls = self.record_calls(monkeypatch)
+        state = tr.TrainerState(cfg, ds)
+        tr.train_step(state, ds.labeled[:2], ds.unlabeled[:3], 0,
+                      np.random.default_rng(0))
+        assert calls == []
+
+    def test_no_unlabeled_items_no_call(self, monkeypatch):
+        cfg, ds = small()
+        calls = self.record_calls(monkeypatch)
+        state = tr.TrainerState(cfg, ds)
+        plan = tr.prepare_step_plan(state, ds.labeled[:2], [],
+                                    np.random.default_rng(0))
+        for new, old in zip(plan.new_mtl_centers, state.mtl_centers,
+                            strict=True):
+            assert np.array_equal(new, old)
+        total, parts = tr.compute_losses(state.student, state.teacher, plan,
+                                         cfg)
+        assert calls == []
+        assert parts["L_MTL"].item() == 0.0
+        assert np.isfinite(total.item())
 
 
 class TestEvaluate:
